@@ -52,5 +52,18 @@ def test_union_reduces_search_work(with_union, without_union):
 
 
 def test_union_memory_cost(tiny_large, union_large):
-    """The trade: the index matrix dwarfs the union energies themselves."""
-    assert union_large.indices.nbytes > 10 * union_large.energy.nbytes
+    """The trade: the index matrix dwarfs the union energies themselves —
+    ``n_nuclides`` entries per union point against one float64 — at the
+    narrowest entry the library's grids allow (2 B here, not 4)."""
+    indices = union_large.indices
+    bytes_per_entry = indices.nbytes / indices.size
+    ratio = indices.nbytes / union_large.energy.nbytes
+    print(
+        f"\nunion grid (hm-large tiny): {indices.shape[0]} x "
+        f"{indices.shape[1]} entries x {bytes_per_entry:.0f} B = "
+        f"{indices.nbytes / 1e6:.2f} MB index matrix, "
+        f"{ratio:.1f}x the {union_large.energy.nbytes / 1e6:.3f} MB of "
+        f"union energies"
+    )
+    assert bytes_per_entry == 2
+    assert ratio > 10

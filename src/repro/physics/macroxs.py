@@ -209,8 +209,10 @@ class XSCalculator:
         """Interval indices within each material nuclide's own grid.
 
         Shape ``(n_nuclides_in_material, N)``.  With a union grid this is a
-        single search plus one fused 2-D gather out of the index matrix;
-        without one it falls back to per-nuclide binary searches.
+        single search plus one fused 2-D gather out of the index matrix, in
+        the matrix's native dtype (callers add int64 SoA offsets, which
+        widens the gathered values only); without one it falls back to
+        per-nuclide binary searches.
         """
         if self.union is not None:
             u = self.union.search_many(energies)

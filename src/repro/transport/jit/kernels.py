@@ -90,6 +90,8 @@ def xs_gather3(
         elif u > n_union - 2:
             u = n_union - 2
         for k in range(n_nuc):
+            # ``local`` has the matrix's native width (uint16/int32); the
+            # int64 offset widens the sum, so ``idx + 1`` cannot wrap.
             local = union_indices_flat[union_rowoff[k] + u]
             idx = offsets[k] + local
             e0 = soa_energy[idx]

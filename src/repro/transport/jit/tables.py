@@ -1,7 +1,7 @@
 """Cache-friendly typed-tuple views of the SoA side-tables.
 
-The compiled kernels take plain contiguous ``float64``/``int64`` arrays —
-no Python objects — so this module flattens the pieces the NumPy path
+The compiled kernels take plain contiguous typed arrays — no Python
+objects — so this module flattens the pieces the NumPy path
 reaches through attribute chains (:class:`~repro.data.soa.SoALibrary`
 rows, :class:`~repro.physics.macroxs.MaterialPlan` offsets, the unionized
 index matrix) into two ``NamedTuple`` views:
@@ -40,7 +40,9 @@ class LibraryView(NamedTuple):
 
     #: Union energy grid (the binary-search target), shape ``(n_union,)``.
     union_energy: np.ndarray
-    #: Raveled ``(n_nuclides * n_union,)`` per-nuclide interval matrix.
+    #: Raveled ``(n_nuclides * n_union,)`` per-nuclide interval matrix, a
+    #: view of ``calc.union.indices`` in its native dtype (``uint16`` or
+    #: ``int32``); the kernels widen each gathered entry, never the matrix.
     union_indices_flat: np.ndarray
     #: Concatenated per-nuclide energy grids (SoA), ``(total_points,)``.
     energy: np.ndarray
@@ -78,9 +80,7 @@ def library_view(calc: XSCalculator) -> LibraryView:
     soa = calc.soa
     view = LibraryView(
         union_energy=np.ascontiguousarray(calc.union.energy),
-        union_indices_flat=np.ascontiguousarray(
-            calc.union.indices.ravel().astype(np.int64, copy=False)
-        ),
+        union_indices_flat=np.ascontiguousarray(calc.union.indices.ravel()),
         energy=np.ascontiguousarray(soa.energy),
         elastic=np.ascontiguousarray(soa.xs[Reaction.ELASTIC]),
         capture=np.ascontiguousarray(soa.xs[Reaction.CAPTURE]),

@@ -6,6 +6,20 @@ import pytest
 from repro.data import LibraryConfig, UnionizedGrid, build_library
 
 
+def pytest_addoption(parser, pluginmanager):
+    """Own the ``timeout`` ini key when pytest-timeout is not installed.
+
+    ``pyproject.toml`` sets a per-test ceiling that CI enforces through the
+    plugin; without it the key would be an "Unknown config option" warning
+    on every local run.  Registered here it is known and inert.
+    """
+    if not pluginmanager.hasplugin("timeout"):
+        parser.addini(
+            "timeout",
+            "per-test timeout in seconds (enforced by pytest-timeout only)",
+        )
+
+
 @pytest.fixture(scope="session")
 def tiny_config():
     return LibraryConfig.tiny()

@@ -1,12 +1,34 @@
 """Tests for the unionized energy grid (Leppänen double indexing)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import UnionizedGrid
+from repro.data.nuclide import Nuclide
 from repro.errors import DataError
+
+
+class StubNuclide:
+    """The two attributes :class:`UnionizedGrid` reads off a nuclide, plus
+    the real nuclide's clamped search as the oracle."""
+
+    def __init__(self, energy):
+        self.energy = np.asarray(energy, dtype=np.float64)
+        self.n_points = int(self.energy.size)
+
+    find_index_many = Nuclide.find_index_many
+
+
+def assert_matches_direct_search(union, library):
+    """Every row equals the nuclide's own clamped search of the union."""
+    for i, nuc in enumerate(library):
+        np.testing.assert_array_equal(
+            union.indices[i], nuc.find_index_many(union.energy)
+        )
 
 
 class TestConstruction:
@@ -67,6 +89,133 @@ class TestIndices:
         u = np.array([0, 5, 10])
         got = small_union.nuclide_indices(2, u)
         np.testing.assert_array_equal(got, small_union.indices[2, u])
+
+
+class TestRunLengthConstruction:
+    """The run-length fill is entry-for-entry the per-point search."""
+
+    @pytest.mark.parametrize("max_points", [2, 100])
+    def test_thinned_union(self, small_library, max_points):
+        """Thinning drops nuclide points from the union: runs go empty."""
+        union = UnionizedGrid(small_library, max_points=max_points)
+        assert union.n_union <= max_points
+        assert_matches_direct_search(union, small_library)
+
+    def test_inner_range_and_two_point_grids(self):
+        """A nuclide strictly inside the union's range hits both clamps;
+        a 2-point grid is a single run of zeros."""
+        library = [
+            StubNuclide(np.linspace(1.0, 100.0, 34)),
+            StubNuclide([20.0, 30.5, 31.0, 40.0, 55.5]),
+            StubNuclide([10.0, 60.0]),
+        ]
+        union = UnionizedGrid(library)
+        inner, two = union.indices[1], union.indices[2]
+        assert inner[0] == 0 and union.energy[0] < library[1].energy[0]
+        assert inner[-1] == 3 and union.energy[-1] > library[1].energy[-1]
+        assert not two.any()
+        assert_matches_direct_search(union, library)
+
+    @given(
+        grids=st.lists(
+            st.lists(
+                st.floats(min_value=1e-11, max_value=20.0),
+                min_size=2, max_size=40, unique=True,
+            ).map(sorted),
+            min_size=1, max_size=6,
+        ),
+        max_points=st.none() | st.integers(min_value=2, max_value=60),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_grids_property(self, grids, max_points):
+        library = [StubNuclide(g) for g in grids]
+        union = UnionizedGrid(library, max_points=max_points)
+        assert_matches_direct_search(union, library)
+
+
+class TestIndexWidth:
+    """Entry width is a function of the library's largest grid alone."""
+
+    def test_small_library_is_uint16(self, small_union):
+        assert small_union.indices.dtype == np.uint16
+        assert small_union.indices.flags.c_contiguous
+
+    def test_boundary(self):
+        narrow = [StubNuclide(np.arange(1.0, 65537.0)), StubNuclide([0.5, 7e4])]
+        union = UnionizedGrid(narrow)
+        assert narrow[0].n_points == 65536
+        assert union.indices.dtype == np.uint16
+        # The largest entry is n_points - 2 and ``+ 1`` stays in range.
+        assert union.indices.max() == 65534
+        upper = union.indices + 1
+        assert upper.dtype == np.uint16 and upper.max() == 65535
+        assert np.all(upper > union.indices)
+        assert_matches_direct_search(union, narrow)
+
+        wide = [StubNuclide(np.arange(1.0, 65538.0)), narrow[1]]
+        union = UnionizedGrid(wide)
+        assert wide[0].n_points == 65537
+        assert union.indices.dtype == np.int32
+        assert union.indices.max() == 65535
+        assert_matches_direct_search(union, wide)
+
+    def test_wide_matrix_transports_identically(
+        self, small_library, small_union
+    ):
+        """One 65 537-point nuclide nobody collides with forces ``int32``;
+        the finer union still contains every real grid point, so lookups —
+        and with them a whole event generation — are bit-identical to the
+        ``uint16`` run: the wide branch is the same code."""
+        from repro.transport.backends import get_backend
+        from repro.transport.context import TransportContext
+        from repro.transport.tally import GlobalTallies
+
+        stub = StubNuclide(np.geomspace(1e-11, 20.0, 65537))
+        wide_union = UnionizedGrid([*small_library, stub])
+        assert wide_union.indices.dtype == np.int32
+        np.testing.assert_array_equal(
+            wide_union.indices[: len(small_library)],
+            [n.find_index_many(wide_union.energy) for n in small_library],
+        )
+
+        def generation(union):
+            ctx = TransportContext.create(
+                small_library, pincell=True, union=union, master_seed=7
+            )
+            pos = np.zeros((40, 3))
+            pos[:, 2] = np.linspace(-150.0, 150.0, 40)
+            tallies = GlobalTallies()
+            bank = get_backend("event").run_generation(
+                ctx, pos, np.full(40, 1.0), tallies, 1.0, 0
+            )
+            return ctx.counters.as_dict(), tallies, bank
+
+        cw, tw, bw = generation(wide_union)
+        cn, tn, bn = generation(small_union)
+        # One union search per lookup either way; everything else equal too.
+        assert cw == cn
+        assert tw == tn
+        np.testing.assert_array_equal(bw.positions, bn.positions)
+        np.testing.assert_array_equal(bw.energies, bn.energies)
+
+
+class TestMemory:
+    def test_build_allocates_matrix_plus_row_temporaries(self, large_library):
+        """No full-matrix intermediate: building the hm-large union peaks at
+        the matrix plus a few ``n_union``-sized temporaries."""
+        tracemalloc.start()
+        try:
+            union = UnionizedGrid(large_library)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert union.nbytes == union.energy.nbytes + union.indices.nbytes
+        # Concatenated grids, their sorted union, and four int64 rows: far
+        # below the 2x/4x of a full-matrix int32/int64 intermediate.
+        total_points = sum(n.n_points for n in large_library)
+        slack = 8 * (2 * total_points + 4 * union.n_union)
+        assert slack < union.indices.nbytes // 4
+        assert peak <= union.indices.nbytes + slack
 
 
 class TestSearch:

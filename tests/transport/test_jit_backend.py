@@ -261,6 +261,13 @@ class TestKernels:
         assert library_view(calc) is library_view(calc)
         assert plan_view(calc, plan) is plan_view(calc, plan)
 
+    def test_library_view_aliases_the_index_matrix(self, calc):
+        """The kernels read the one matrix the NumPy path reads — native
+        dtype, no widened copy."""
+        view = library_view(calc)
+        assert view.union_indices_flat.dtype == calc.union.indices.dtype
+        assert np.shares_memory(view.union_indices_flat, calc.union.indices)
+
     def test_library_view_requires_union(self, small_library):
         with pytest.raises(ValueError, match="union"):
             library_view(XSCalculator(small_library, None))
