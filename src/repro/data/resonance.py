@@ -251,7 +251,7 @@ def reconstruct_xs(
             elastic += np.sum(
                 strength * (ladder.gamma_n[sl, None] / gamma[sl, None]) * psi_v
                 + interference[sl, None]
-                * np.sqrt(ladder.e0[sl, None] / energies[None, :])
+                * sqrt_ratio
                 * chi_v
                 * taper,
                 axis=0,

@@ -62,6 +62,45 @@ class MacroXS:
         return self.capture + self.fission
 
 
+class TileWorkspace:
+    """Reusable scratch for the ``(n_nuclides, N)`` matrices of one banked
+    call: two int64 index buffers, one buffer in the union matrix's entry
+    dtype, six float64 buffers — 66 B per element with a ``uint16`` matrix.
+
+    The buffers are flat ``np.empty`` arrays grown lazily to the largest
+    request (rounded up to a power of two, so a request a few elements
+    larger than the last does not reallocate).  Only the prefix a call
+    uses is ever touched, so a calculator that sees 200-lane banks pays
+    for 200-lane pages however large the buffers' virtual size.  Every
+    view handed out aliases the same memory: it is valid until the owning
+    calculator's next banked or attribution call and must never be
+    returned to a caller outside the kernel layer.
+    """
+
+    __slots__ = ("_dtypes", "_buffers", "_size")
+
+    def __init__(self, index_dtype) -> None:
+        self._dtypes = (
+            [np.dtype(np.int64)] * 2
+            + [np.dtype(index_dtype)]
+            + [np.dtype(np.float64)] * 6
+        )
+        self._buffers: list[np.ndarray] = []
+        self._size = -1
+
+    def views(self, n_nuc: int, n: int) -> list[np.ndarray]:
+        """Nine C-contiguous ``(n_nuc, n)`` views: two int64 position
+        matrices, the index-dtype matrix, two float64 interpolation
+        matrices, three float64 reaction matrices, one float64 scratch."""
+        size = n_nuc * n
+        if size > self._size:
+            # Drop the old buffers first so growth never holds both sets.
+            self._buffers = []
+            self._size = 1 << max(size - 1, 0).bit_length()
+            self._buffers = [np.empty(self._size, dtype=d) for d in self._dtypes]
+        return [buf[:size].reshape(n_nuc, n) for buf in self._buffers]
+
+
 class MaterialPlan:
     """Precomputed per-material metadata for the banked kernels.
 
@@ -82,6 +121,10 @@ class MaterialPlan:
         searches, scalar fallbacks).
     fissionable, nu0:
         Per-material-nuclide scalars gathered from the SoA side-tables.
+    fissionable_rows, nu0_fissionable_col:
+        Row numbers of the fissionable nuclides and their ``nu0`` as a
+        column — the fission-production sub-matrix is gathered and scaled
+        through these into workspace rows.
     sab_entries:
         ``(k, table, cutoff)`` for each nuclide with an S(alpha, beta)
         table, in material (accumulation/RNG) order ``k``.
@@ -100,9 +143,9 @@ class MaterialPlan:
         "offsets_col",
         "nuclides",
         "fissionable",
-        "any_fissionable",
+        "fissionable_rows",
         "nu0",
-        "nu0_fissionable",
+        "nu0_fissionable_col",
         "sab_entries",
         "urr_entries",
         "urr_emin",
@@ -122,9 +165,9 @@ class MaterialPlan:
         self.offsets_col = self.offsets[:, None]
         self.nuclides: list[Nuclide] = [calc.library[int(i)] for i in ids]
         self.fissionable = soa.fissionable[ids]
-        self.any_fissionable = bool(self.fissionable.any())
+        self.fissionable_rows = np.flatnonzero(self.fissionable)
         self.nu0 = soa.nu0[ids]
-        self.nu0_fissionable = self.nu0[self.fissionable]
+        self.nu0_fissionable_col = self.nu0[self.fissionable][:, None]
         self.sab_entries: list[tuple[int, SabTable, float]] = []
         self.urr_entries: list[tuple[int, URRTable]] = []
         for k, nuc in enumerate(self.nuclides):
@@ -194,6 +237,11 @@ class XSCalculator:
         self._union_indices_flat = (
             union.indices.ravel() if union is not None else None
         )
+        #: Scratch matrices every banked and attribution call runs on; the
+        #: compiled-kernel proxy writes into the same ones.
+        self.workspace = TileWorkspace(
+            union.indices.dtype if union is not None else np.int64
+        )
 
     def material_plan(self, material: Material) -> MaterialPlan:
         """Cached :class:`MaterialPlan` for a material (built on first use)."""
@@ -204,26 +252,72 @@ class XSCalculator:
         return plan
 
     def _local_indices(
-        self, plan: MaterialPlan, energies: np.ndarray
+        self,
+        plan: MaterialPlan,
+        energies: np.ndarray,
+        flat: np.ndarray,
+        local: np.ndarray,
     ) -> np.ndarray:
-        """Interval indices within each material nuclide's own grid.
+        """Fill ``local`` with the interval indices within each material
+        nuclide's own grid, shape ``(n_nuclides_in_material, N)``.
 
-        Shape ``(n_nuclides_in_material, N)``.  With a union grid this is a
-        single search plus one fused 2-D gather out of the index matrix, in
-        the matrix's native dtype (callers add int64 SoA offsets, which
-        widens the gathered values only); without one it falls back to
-        per-nuclide binary searches.
+        With a union grid this is a single search plus one fused gather out
+        of the raveled index matrix, in the matrix's native dtype (callers
+        add int64 SoA offsets, which widens the gathered values only);
+        ``flat`` is int64 scratch for the gather positions.  Without one it
+        falls back to per-nuclide binary searches.
         """
         if self.union is not None:
             u = self.union.search_many(energies)
-            flat = plan.union_rowoff_col + u[None, :]
-            return self._union_indices_flat.take(flat)
-        local = np.empty(
-            (plan.n_nuclides, energies.shape[0]), dtype=np.int64
-        )
+            np.add(plan.union_rowoff_col, u[None, :], out=flat)
+            # ``search_many`` clamps ``u`` into the row, so no position can
+            # leave the matrix and the unbuffered clip mode never clips.
+            return self._union_indices_flat.take(flat, out=local, mode="clip")
         for k, nuc in enumerate(plan.nuclides):
             local[k] = nuc.find_index_many(energies)
         return local
+
+    def _bracket(
+        self, plan: MaterialPlan, energies: np.ndarray, ia, ib, loc, fa, fb
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The gather prologue shared by the lookup and the attribution:
+        flat SoA positions of each lane's bracketing grid points and the
+        interpolation factors, ``(idx, idx1, f, g)`` with ``g = 1 - f``,
+        written into the first five workspace matrices.
+
+        ``take(..., out=)`` is only unbuffered in ``mode="clip"``, which
+        would silently read a neighbouring entry where ``mode="raise"``
+        raises; the explicit range check below restores the raise.
+        """
+        local = self._local_indices(plan, energies, ia, loc)
+        idx = np.add(plan.offsets_col, local, out=ia)
+        idx1 = np.add(idx, 1, out=ib)
+        grid = self.soa.energy
+        if idx.size and (idx1.max() >= grid.shape[0] or idx.min() < 0):
+            raise IndexError(
+                f"grid interval outside the {grid.shape[0]}-point SoA arrays "
+                f"(material {plan.material.name!r}): corrupt index matrix?"
+            )
+        e0 = grid.take(idx, out=fa, mode="clip")
+        e1 = grid.take(idx1, out=fb, mode="clip")
+        den = np.subtract(e1, e0, out=e1)
+        f = np.subtract(energies[None, :], e0, out=e0)
+        f /= den
+        np.clip(f, 0.0, 1.0, out=f)
+        g = np.subtract(1.0, f, out=den)
+        return idx, idx1, f, g
+
+    @staticmethod
+    def _interpolate(row, idx, idx1, f, g, out, hi) -> np.ndarray:
+        """``row[idx] * g + row[idx1] * f`` into ``out`` (``hi`` is
+        scratch) — element for element the per-nuclide ``micro_xs_gather``
+        arithmetic, so results stay bit-equal."""
+        row.take(idx, out=out, mode="clip")
+        out *= g
+        row.take(idx1, out=hi, mode="clip")
+        hi *= f
+        out += hi
+        return out
 
     # ------------------------------------------------------------------
     # Scalar (history-based) path
@@ -383,47 +477,27 @@ class XSCalculator:
         rho = plan.rho
         n_nuc = plan.n_nuclides
         n = energies.shape[0]
-        local = self._local_indices(plan, energies)  # (n_nuc, N)
+        ia, ib, loc, fa, fb, m_el_mat, m_cap_mat, m_fis_mat, contrib = (
+            self.workspace.views(n_nuc, n)
+        )
         if self.layout == "soa":
             # Fused gather: one (n_nuc, N) take per quantity instead of
-            # n_nuc small per-nuclide gathers.  Element-wise arithmetic is
-            # identical to the per-nuclide micro_xs_gather form
-            # ((1 - f) * lo + f * hi per point), so results stay bit-equal.
+            # n_nuc small per-nuclide gathers.
             soa = self.soa
-            idx = plan.offsets_col + local
-            idx1 = idx + 1
-            e0 = soa.energy.take(idx)
-            e1 = soa.energy.take(idx1)
-            den = np.subtract(e1, e0, out=e1)
-            f = np.subtract(energies[None, :], e0, out=e0)
-            f /= den
-            np.clip(f, 0.0, 1.0, out=f)
-            g = np.subtract(1.0, f, out=den)
-            row = soa.xs[Reaction.ELASTIC]
-            m_el_mat = row.take(idx)
-            m_el_mat *= g
-            hi = row.take(idx1)
-            hi *= f
-            m_el_mat += hi
-            row = soa.xs[Reaction.CAPTURE]
-            m_cap_mat = row.take(idx)
-            m_cap_mat *= g
-            hi = row.take(idx1)
-            hi *= f
-            m_cap_mat += hi
-            row = soa.xs[Reaction.FISSION]
-            m_fis_mat = row.take(idx)
-            m_fis_mat *= g
-            hi = row.take(idx1)
-            hi *= f
-            m_fis_mat += hi
+            idx, idx1, f, g = self._bracket(
+                plan, energies, ia, ib, loc, fa, fb
+            )
+            for reaction, out in (
+                (Reaction.ELASTIC, m_el_mat),
+                (Reaction.CAPTURE, m_cap_mat),
+                (Reaction.FISSION, m_fis_mat),
+            ):
+                self._interpolate(soa.xs[reaction], idx, idx1, f, g, out, contrib)
         else:
             # AoS ablation: keep the per-nuclide strided gathers (that cost
-            # is the point of the layout comparison) but share the fused
-            # correction/accumulation code below.
-            m_el_mat = np.empty((n_nuc, n))
-            m_cap_mat = np.empty((n_nuc, n))
-            m_fis_mat = np.empty((n_nuc, n))
+            # is the point of the layout comparison) but share the workspace
+            # and the fused correction/accumulation code below.
+            local = self._local_indices(plan, energies, ia, loc)
             for k in range(n_nuc):
                 micro = self.aos.micro_xs_gather(
                     int(plan.ids[k]), energies, local[k]
@@ -469,8 +543,11 @@ class XSCalculator:
                 if plan.fissionable[k]:
                     nu_fission += m_fis * (plan.nu0[k] + nu_e)
         else:
+            # The reductions allocate their (N,) results, so what is
+            # returned is the caller's own; everything 2-D stays in the
+            # workspace.
             rho_col = rho[:, None]
-            contrib = m_el_mat + m_cap_mat
+            np.add(m_el_mat, m_cap_mat, out=contrib)
             contrib += m_fis_mat
             contrib *= rho_col
             total = np.add.reduce(contrib, axis=0)
@@ -482,9 +559,16 @@ class XSCalculator:
             capture = np.add.reduce(m_cap_mat, axis=0)
             m_fis_mat *= rho_col
             fission = np.add.reduce(m_fis_mat, axis=0)
-            if plan.any_fissionable:
-                nu_mat = m_fis_mat[plan.fissionable]
-                nu_mat *= plan.nu0_fissionable[:, None] + nu_e[None, :]
+            n_fis = plan.fissionable_rows.shape[0]
+            if n_fis:
+                # The interpolation factors are spent: their matrices hold
+                # the fissionable rows and the nu(E) factors.
+                nu_mat = m_fis_mat.take(
+                    plan.fissionable_rows, axis=0, out=fa[:n_fis], mode="clip"
+                )
+                nu_mat *= np.add(
+                    plan.nu0_fissionable_col, nu_e[None, :], out=fb[:n_fis]
+                )
                 nu_fission = np.add.reduce(nu_mat, axis=0)
             else:
                 nu_fission = np.zeros(n)
@@ -562,6 +646,23 @@ class XSCalculator:
         the particle streams.  Both transport loops use this same function,
         so history and event runs attribute collisions identically.
         """
+        return self._attribution_block(
+            material, energies, reaction, counters
+        ).copy()
+
+    def _attribution_block(
+        self,
+        material: Material,
+        energies: np.ndarray,
+        reaction: Reaction,
+        counters: WorkCounters | None = None,
+    ) -> np.ndarray:
+        """:meth:`attribution_weights` as a **workspace view** — what the
+        banked stage kernels consume, one tile at a time.  The block is
+        overwritten by this calculator's next banked or attribution call,
+        so it must be used up (sampled from) before that and never handed
+        on.
+        """
         energies = np.atleast_1d(np.asarray(energies, dtype=np.float64))
         plan = self.material_plan(material)
         n_nuc = plan.n_nuclides
@@ -569,23 +670,23 @@ class XSCalculator:
         # Fused SoA gather of the one requested reaction row across all the
         # material's nuclides at once (always SoA — attribution is shared
         # infrastructure, not part of the layout ablation).
-        local = self._local_indices(plan, energies)
-        idx = plan.offsets_col + local
-        idx1 = idx + 1
-        soa = self.soa
-        e0 = soa.energy.take(idx)
-        e1 = soa.energy.take(idx1)
-        den = np.subtract(e1, e0, out=e1)
-        f = np.subtract(energies[None, :], e0, out=e0)
-        f /= den
-        np.clip(f, 0.0, 1.0, out=f)
-        g = np.subtract(1.0, f, out=den)
-        row = soa.xs[reaction]
-        out = row.take(idx)
-        out *= g
-        hi = row.take(idx1)
-        hi *= f
-        out += hi
+        ia, ib, loc, fa, fb, out, hi = self.workspace.views(n_nuc, n)[:7]
+        idx, idx1, f, g = self._bracket(plan, energies, ia, ib, loc, fa, fb)
+        self._interpolate(self.soa.xs[reaction], idx, idx1, f, g, out, hi)
+        self._finish_attribution(plan, energies, reaction, out, counters)
+        return out
+
+    def _finish_attribution(
+        self,
+        plan: MaterialPlan,
+        energies: np.ndarray,
+        reaction: Reaction,
+        out: np.ndarray,
+        counters: WorkCounters | None,
+    ) -> None:
+        """S(alpha, beta) substitution on the elastic row, the density
+        weighting and the work counters — in place on the gathered block
+        (shared with the compiled-kernel proxy, whose gather differs)."""
         if reaction == Reaction.ELASTIC and self.use_sab:
             for k, sab, cutoff in plan.sab_entries:
                 mask = energies < cutoff
@@ -593,9 +694,9 @@ class XSCalculator:
                     out[k, mask] = sab.thermal_xs(energies[mask])
         out *= plan.rho[:, None]
         if counters:
-            counters.nuclide_iterations += n * n_nuc
-            counters.bytes_read += n * n_nuc * BYTES_PER_NUCLIDE_LOOKUP
-        return out
+            n_items = out.size
+            counters.nuclide_iterations += n_items
+            counters.bytes_read += n_items * BYTES_PER_NUCLIDE_LOOKUP
 
     def soa_local_indices(
         self, ids: np.ndarray, local: np.ndarray

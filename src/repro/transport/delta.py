@@ -43,8 +43,9 @@ from .stages import (
     FISSION,
     SCATTER,
     SURVIVAL,
+    XS_LOOKUP,
     SigmaTables,
-    group_by_value,
+    tile_slices,
 )
 from .tally import GlobalTallies
 
@@ -69,13 +70,17 @@ class MajorantXS:
         totals = []
         for material in ctx.model.materials:
             # Deterministic part (URR factors handled by the bound below).
+            # The union grid is the largest bank this module ever looks up:
+            # tile it like any other so the workspace stays tile-sized.
+            total = np.empty_like(self.energy)
             saved = calc.use_urr
             calc.use_urr = False
             try:
-                res = calc.banked(material, self.energy)
+                for run in tile_slices(material.n_nuclides, total.size):
+                    total[run] = calc.banked(material, self.energy[run])["total"]
             finally:
                 calc.use_urr = saved
-            totals.append(res["total"])
+            totals.append(total)
         sigma = np.max(totals, axis=0)
 
         # URR bound: within any table's range, scale by the largest factor
@@ -135,7 +140,6 @@ def run_generation_delta(
     ``ctx.counters.flights`` (every tentative flight counts) vs
     ``ctx.counters.collisions`` (real ones only).
     """
-    calc = ctx.calculator
     counters = ctx.counters
     if majorant is None:
         majorant = MajorantXS(ctx)
@@ -183,18 +187,7 @@ def run_generation_delta(
         bank.material[inside] = mats[mats >= 0]
 
         # ---- Real cross sections at tentative collision points.
-        for mid, pos in group_by_value(bank.material[inside]):
-            grp = inside[pos]
-            states = bank.rng_state[grp]
-            res = calc.banked(
-                ctx.material(mid), bank.energy[grp],
-                rng_states=states, counters=counters,
-            )
-            bank.rng_state[grp] = states
-            sig.total[grp] = res["total"]
-            sig.capture[grp] = res["capture"]
-            sig.fission[grp] = res["fission"]
-            sig.nu_fission[grp] = res["nu_fission"]
+        XS_LOOKUP.refresh(ctx, bank, inside, bank.material[inside], sig)
 
         # ---- Accept/reject: real vs virtual collision (one draw).
         states, xi_acc = prn_array(bank.rng_state[inside])

@@ -8,7 +8,8 @@ homogeneous stages, each the **banked apply** of a shared
 
 1. **XS lookup** — group the bank by material and apply the banked
    Algorithm 1 (:meth:`repro.physics.macroxs.XSCalculator.banked`) to each
-   group (the paper's micro-benchmark #1);
+   group, one energy-banded tile at a time (the paper's micro-benchmark
+   #1);
 2. **advance** — sample all collision distances at once (micro-benchmark
    #2), ray-trace all boundary distances with the analytic fast geometry,
    move everyone;
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..rng.sampling import sample_index_many as _sample_index_many  # noqa: F401  (compat)
 from ..types import CollisionChannel
 from .context import TransportContext
 from .meshtally import PowerTally
@@ -46,7 +46,6 @@ from .stages import (
     SURVIVAL,
     XS_LOOKUP,
     SigmaTables,
-    group_by_value,
 )
 from .stats import TransportStats
 from .tally import GlobalTallies
@@ -56,10 +55,6 @@ __all__ = ["run_generation_event", "EventLoopStats", "SORT_POLICIES"]
 #: Backward-compatible alias: the event loop's stats class is now the
 #: schedule-agnostic :class:`repro.transport.stats.TransportStats`.
 EventLoopStats = TransportStats
-
-#: Backward-compatible alias for the material-dispatch primitive, which now
-#: lives with the kernels it dispatches.
-_group_by_value = group_by_value
 
 
 #: Valid values of the event schedule's bank-ordering policy.
@@ -90,11 +85,13 @@ def run_generation_event(
 
     * ``"none"`` — live-index (ascending) order, the PR 3 behaviour;
     * ``"energy"`` — a stable argsort of the live bank by energy is applied
-      before the XS-lookup stage, so within each material group the
-      union-grid search walks ascending energies and the SoA gathers become
-      near-sequential (the cache-locality argument of the paper's banked
-      kernels).  The flight stage runs in the same order; its gathered
-      outputs are then **unsorted via the inverse permutation** before any
+      before the XS-lookup stage.  (The lookup dispatch bands each material
+      group by energy itself, whatever this policy says — see
+      :func:`repro.transport.stages.material_tiles` — so what the policy
+      still changes is the order of the flight stage and of the
+      gather-stride probe below.)  The flight stage runs in the same
+      order; its gathered outputs are then **unsorted via the inverse
+      permutation** before any
       tally accumulation or sub-bank formation, so every float sum and
       every downstream stage sees exactly the live-index ordering.  Because
       each particle draws only from its private LCG stream and every stage
@@ -149,9 +146,10 @@ def run_generation_event(
         # ---- Stage 1: banked cross-section lookups.
         XS_LOOKUP.banked(ctx, bank, lookup_idx, sig)
         if stats is not None and ctx.union is not None:
-            # Gather-locality probe: the union intervals in the order the
-            # lookup stage just walked them (diagnostics only — no RNG, no
-            # counters — so recording cannot perturb the physics).
+            # Gather-locality probe: the union intervals in the order this
+            # schedule handed the bank to the lookup stage (diagnostics
+            # only — no RNG, no counters — so recording cannot perturb the
+            # physics).
             stats.record_gather_indices(
                 ctx.union.search_many(bank.energy[lookup_idx])
             )

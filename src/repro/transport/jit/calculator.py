@@ -139,9 +139,9 @@ class JitXSCalculator:
         n_nuc = plan.n_nuclides
         n = energies.shape[0]
 
-        m_el_mat = np.empty((n_nuc, n))
-        m_cap_mat = np.empty((n_nuc, n))
-        m_fis_mat = np.empty((n_nuc, n))
+        # The wrapped calculator's scratch matrices: both tiers run on the
+        # one workspace, and only the (N,) results below are the caller's.
+        m_el_mat, m_cap_mat, m_fis_mat = calc.workspace.views(n_nuc, n)[5:8]
         xs_gather3(
             energies,
             lib.union_energy,
@@ -207,27 +207,41 @@ class JitXSCalculator:
         reaction: Reaction,
         counters: WorkCounters | None = None,
     ) -> np.ndarray:
-        """Compiled-kernel form of :meth:`XSCalculator.attribution_weights`."""
+        """Compiled-kernel form of :meth:`XSCalculator.attribution_weights`
+        (a caller-owned copy of the block)."""
+        return self._attribution_block(
+            material, energies, reaction, counters
+        ).copy()
+
+    def _attribution_block(
+        self,
+        material,
+        energies: np.ndarray,
+        reaction: Reaction,
+        counters: WorkCounters | None = None,
+    ) -> np.ndarray:
+        """Compiled-kernel form of :meth:`XSCalculator._attribution_block`:
+        the gather runs as a kernel into the shared workspace, the
+        S(alpha, beta) / density / counter tail is the wrapped
+        calculator's own."""
+        calc = self.calc
         if not self.active or reaction not in _GATHER_ROWS:
-            return self.calc.attribution_weights(
+            return calc._attribution_block(
                 material, energies, reaction, counters
             )
-        calc = self.calc
         energies = np.atleast_1d(
             np.ascontiguousarray(energies, dtype=np.float64)
         )
         plan = calc.material_plan(material)
         lib = library_view(calc)
         pv = plan_view(calc, plan)
-        n_nuc = plan.n_nuclides
-        n = energies.shape[0]
         if reaction == Reaction.ELASTIC:
             row = lib.elastic
         elif reaction == Reaction.CAPTURE:
             row = lib.capture
         else:
             row = lib.fission
-        out = np.empty((n_nuc, n))
+        out = calc.workspace.views(plan.n_nuclides, energies.shape[0])[5]
         xs_gather1(
             energies,
             lib.union_energy,
@@ -238,15 +252,5 @@ class JitXSCalculator:
             row,
             out,
         )
-        # Mirror XSCalculator.attribution_weights: S(alpha, beta)
-        # substitution on the elastic row, then the density weighting.
-        if reaction == Reaction.ELASTIC and calc.use_sab:
-            for k, sab, cutoff in plan.sab_entries:
-                mask = energies < cutoff
-                if mask.any():
-                    out[k, mask] = sab.thermal_xs(energies[mask])
-        out *= plan.rho[:, None]
-        if counters:
-            counters.nuclide_iterations += n * n_nuc
-            counters.bytes_read += n * n_nuc * BYTES_PER_NUCLIDE_LOOKUP
+        calc._finish_attribution(plan, energies, reaction, out, counters)
         return out

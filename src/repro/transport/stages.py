@@ -11,7 +11,8 @@ that shared kernel layer.  Each stage is a :class:`StageKernel` with
 * a **banked** apply — a vectorized kernel over a
   :class:`~repro.transport.particle.ParticleBank`'s SoA arrays and the
   per-particle :class:`SigmaTables` side-tables, dispatched per material
-  over the cached MaterialPlans (the event schedule).
+  tile (:func:`material_tiles`) over the cached MaterialPlans (the event
+  schedule).
 
 The two applies of every kernel consume each particle's random-number
 stream in **exactly the same order** (the RNG protocol documented in
@@ -75,10 +76,21 @@ __all__ = [
     "FISSION",
     "SCATTER",
     "STAGE_KERNELS",
+    "TILE_ELEMENTS",
     "group_by_value",
+    "material_tiles",
+    "tile_slices",
 ]
 
 _TINY = 1.0e-300
+
+#: Matrix elements (material nuclides x particles) one banked tile may form.
+#: Every ``(n_nuclides, N)`` matrix of the XS data path is built a tile at a
+#: time on the calculator's reused workspace (66 B an element), so the
+#: working set of a generation is this constant, not the bank.  Committed
+#: from the sweep over 32 768-262 144 recorded in EXPERIMENTS.md; a
+#: measurement of the memory system, not a knob.
+TILE_ELEMENTS = 65_536
 
 
 def group_by_value(values: np.ndarray):
@@ -88,8 +100,8 @@ def group_by_value(values: np.ndarray):
     ``positions`` index into ``values`` and are ascending within each group
     (stable sort), and groups come out in ascending value order — exactly
     the iteration order of the ``np.unique`` + mask idiom it replaces, so
-    RNG consumption order is unchanged.  This is the material-dispatch
-    primitive of every banked kernel below.
+    RNG consumption order is unchanged.  :func:`material_tiles` cuts these
+    groups into the tiles every banked kernel below is dispatched over.
     """
     if values.size == 0:
         return
@@ -100,6 +112,42 @@ def group_by_value(values: np.ndarray):
     for end in [*boundaries.tolist(), sorted_vals.size]:
         yield int(sorted_vals[start]), order[start:end]
         start = end
+
+
+def tile_slices(n_nuclides: int, n: int):
+    """Slices cutting ``n`` particles into runs whose ``n_nuclides``-row
+    matrices hold at most :data:`TILE_ELEMENTS` elements (at least one
+    particle a tile)."""
+    tile = max(1, TILE_ELEMENTS // n_nuclides)
+    for start in range(0, n, tile):
+        yield slice(start, start + tile)
+
+
+def material_tiles(
+    ctx: TransportContext, mats: np.ndarray, energies: np.ndarray | None = None
+):
+    """Yield ``(material, positions)`` tile by tile: the dispatch primitive
+    of every banked kernel that forms an ``(n_nuclides, N)`` matrix.
+
+    ``mats`` are material ids; ``positions`` index into it, material groups
+    in ascending id order, each cut by :func:`tile_slices`.  With
+    ``energies`` (aligned with ``mats``) each group is first ordered by a
+    stable argsort of its energies, so a tile gathers one narrow band of
+    union-grid columns from every nuclide row instead of a random walk
+    across all of them.
+
+    Tiling and banding only reorder *which lanes share a call*: each
+    particle draws from its own RNG stream, every matrix column is computed
+    independently of its neighbours, and the kernels write results by
+    absolute bank index — so any tile size and either order give the same
+    bits (``tests/transport/test_tiling.py``).
+    """
+    for mid, pos in group_by_value(mats):
+        material = ctx.material(mid)
+        if energies is not None:
+            pos = pos[np.argsort(energies[pos], kind="stable")]
+        for run in tile_slices(material.n_nuclides, pos.size):
+            yield material, pos[run]
 
 
 @dataclass
@@ -149,26 +197,37 @@ class XSLookupKernel(StageKernel):
         alive_idx: np.ndarray,
         sig: SigmaTables,
     ) -> None:
-        """Locate and refresh the live lanes' sigma side-tables, grouped by
-        material via one stable argsort dispatch (same group order as
-        ``np.unique``)."""
-        calc = ctx.calculator
-        counters = ctx.counters
+        """Locate the live lanes, then refresh their sigma side-tables."""
         mats = ctx.fast.locate_many(bank.position[alive_idx])
         bank.material[alive_idx] = mats
         # (Source particles start inside; crossings already resolved escapes.)
-        for mid, pos in group_by_value(mats):
-            grp = alive_idx[pos]
-            material = ctx.material(mid)
-            states = bank.rng_state[grp]
+        self.refresh(ctx, bank, alive_idx, mats, sig)
+
+    def refresh(
+        self,
+        ctx: TransportContext,
+        bank: ParticleBank,
+        idx: np.ndarray,
+        mats: np.ndarray,
+        sig: SigmaTables,
+    ) -> None:
+        """Banked Algorithm 1 over lanes ``idx`` sitting in materials
+        ``mats``, one energy-banded tile at a time; results land in ``sig``
+        by bank index, so the banding needs no unsort."""
+        calc = ctx.calculator
+        counters = ctx.counters
+        energies = bank.energy[idx]
+        for material, pos in material_tiles(ctx, mats, energies):
+            lanes = idx[pos]
+            states = bank.rng_state[lanes]
             res = calc.banked(
-                material, bank.energy[grp], rng_states=states, counters=counters
+                material, energies[pos], rng_states=states, counters=counters
             )
-            bank.rng_state[grp] = states
-            sig.total[grp] = res["total"]
-            sig.capture[grp] = res["capture"]
-            sig.fission[grp] = res["fission"]
-            sig.nu_fission[grp] = res["nu_fission"]
+            bank.rng_state[lanes] = states
+            sig.total[lanes] = res["total"]
+            sig.capture[lanes] = res["capture"]
+            sig.fission[lanes] = res["fission"]
+            sig.nu_fission[lanes] = res["nu_fission"]
 
 
 class FlightKernel(StageKernel):
@@ -444,16 +503,16 @@ class FissionKernel(StageKernel):
         k_norm: float,
         particle_ids: np.ndarray,
     ) -> None:
-        """Vectorized fission processing per material group (the caller
+        """Vectorized fission processing per material tile (the caller
         terminates the sub-bank)."""
         calc = ctx.calculator
         counters = ctx.counters
         soa = calc.soa
-        for mid, pos in group_by_value(bank.material[fis]):
+        for material, pos in material_tiles(ctx, bank.material[fis]):
             grp = fis[pos]
-            material = ctx.material(mid)
             ids, _ = material.resolve(ctx.library)
-            weights = calc.attribution_weights(
+            # A workspace view, used up by the sampling two lines down.
+            weights = calc._attribution_block(
                 material, bank.energy[grp], Reaction.FISSION, counters
             )
             states, xi_nuc = prn_array(bank.rng_state[grp])
@@ -548,11 +607,10 @@ class ScatterKernel(StageKernel):
         soa = calc.soa
         chosen = np.empty(sct.size, dtype=np.int64)  # global nuclide ids
 
-        for mid, pos in group_by_value(bank.material[sct]):
+        for material, pos in material_tiles(ctx, bank.material[sct]):
             grp = sct[pos]
-            material = ctx.material(mid)
             ids, _ = material.resolve(ctx.library)
-            weights = calc.attribution_weights(
+            weights = calc._attribution_block(
                 material, bank.energy[grp], Reaction.ELASTIC, counters
             )
             states, xi_nuc = prn_array(bank.rng_state[grp])

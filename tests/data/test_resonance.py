@@ -5,7 +5,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.data.doppler import doppler_zeta, psi_chi
 from repro.data.resonance import (
+    _INTERFERENCE_TAPER,
+    SIGMA0_CONST_BARN_MEV,
     ResonanceLadder,
     build_energy_grid,
     reconstruct_xs,
@@ -172,6 +175,34 @@ class TestReconstruct:
             ladder, grid, awr=238.0, temperature=293.6, wofz_window=1e9
         )
         np.testing.assert_allclose(fast["total"], exact["total"], rtol=2e-2)
+
+    def test_interference_term_equals_the_two_sqrt_form(self, ladder):
+        """``sqrt(e0/E)`` is computed once per chunk and shared by the
+        strength and the interference term; the elastic row must equal the
+        form that evaluated it twice, bit for bit."""
+        awr, temperature = 238.0, 293.6
+        grid = build_energy_grid(ladder, n_base=60)
+        parts = reconstruct_xs(
+            ladder, grid, awr=awr, temperature=temperature, wofz_window=np.inf
+        )
+        gamma = ladder.gamma_total[:, None]
+        e0 = ladder.e0[:, None]
+        sigma0 = SIGMA0_CONST_BARN_MEV / e0 * (ladder.gamma_n[:, None] / gamma)
+        x = 2.0 * (grid[None, :] - e0) / gamma
+        zeta = doppler_zeta(gamma, e0, awr, temperature)
+        psi_v, chi_v = psi_chi(np.broadcast_to(zeta, x.shape), x)
+        elastic = np.full(grid.size, ladder.sigma_pot)
+        elastic += np.sum(
+            sigma0 * np.sqrt(e0 / grid[None, :])
+            * (ladder.gamma_n[:, None] / gamma) * psi_v
+            + np.sqrt(sigma0 * ladder.sigma_pot)
+            * np.sqrt(e0 / grid[None, :])
+            * chi_v
+            * np.exp(-((x / _INTERFERENCE_TAPER) ** 2)),
+            axis=0,
+        )
+        np.clip(elastic, 0.0, None, out=elastic)
+        np.testing.assert_array_equal(parts["elastic"], elastic)
 
     def test_rejects_nonpositive_energy(self, ladder):
         with pytest.raises(DataError):
