@@ -1,5 +1,4 @@
-"""Ablation 8b: tile size of the banked XS data path, and banded tiles
-against the whole-bank ``sort_policy``.
+"""Ablation 8b: tile size of the banked XS data path.
 
 ``repro.transport.stages.TILE_ELEMENTS`` is a committed measurement, not a
 parameter; this script is how it was measured (table in EXPERIMENTS.md)::
@@ -26,7 +25,7 @@ TILES = (32_768, 65_536, 131_072, 262_144, UNTILED)
 N_GENERATIONS = 5
 
 
-def run_point(model, particles, tile, sort_policy="none", fidelity="default"):
+def run_point(model, particles, tile, fidelity="default"):
     """Best and median generation seconds and peak RSS at one point."""
     import numpy as np
 
@@ -43,7 +42,7 @@ def run_point(model, particles, tile, sort_policy="none", fidelity="default"):
     ctx = TransportContext.create(
         library, union=UnionizedGrid(library), master_seed=1
     )
-    backend = EventBackend(sort_policy=sort_policy)
+    backend = EventBackend()
     sim = Simulation(
         library, Settings(n_particles=particles, seed=1, mode="event"),
         context=ctx,
@@ -66,7 +65,6 @@ def run_point(model, particles, tile, sort_policy="none", fidelity="default"):
         "model": model,
         "particles": particles,
         "tile": tile,
-        "sort_policy": sort_policy,
         "best_s": min(seconds),
         "median_s": float(np.median(seconds)),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -84,26 +82,21 @@ def fresh(*args):
 
 def main():
     if sys.argv[1:2] == ["--point"]:
-        model, particles, tile, sort_policy = sys.argv[2:6]
-        print(json.dumps(run_point(model, int(particles), int(tile), sort_policy)))
+        model, particles, tile = sys.argv[2:5]
+        print(json.dumps(run_point(model, int(particles), int(tile))))
         return
-    from repro.transport.stages import TILE_ELEMENTS
-
-    print("model particles tile sort_policy best_s median_s peak_rss_mb")
+    print("model particles tile best_s median_s peak_rss_mb")
     for model, particles in SIZES.items():
-        # Last row: the whole-bank sort (and its five-array unsort) on top
-        # of the committed tile, whose dispatch bands each tile anyway.
-        points = [(tile, "none") for tile in TILES] + [(TILE_ELEMENTS, "energy")]
         reference = None
-        for tile, sort_policy in points:
-            row = fresh(model, particles, tile, sort_policy)
+        for tile in TILES:
+            row = fresh(model, particles, tile)
             # Tiling and banding are bit-identity preserving: every point
             # must reproduce the first one's tallies exactly.
             reference = reference or row["k_collision"]
             assert row["k_collision"] == reference, (row, reference)
             label = "untiled" if tile == UNTILED else tile
             print(
-                f"{model} {particles} {label} {sort_policy} "
+                f"{model} {particles} {label} "
                 f"{row['best_s']:.3f} {row['median_s']:.3f} "
                 f"{row['peak_rss_mb']:.1f}"
             )

@@ -16,8 +16,7 @@ Mechanics:
 * **LRU memory tier** with an optional ``max_entries`` bound; eviction is
   strict least-recently-used (hits refresh recency).
 * **Optional disk tier** — one ``<key>.json`` per entry, published
-  atomically (temp file + fsync + ``os.replace``, the library cache's
-  pattern), so a cache directory survives process restarts and is
+  atomically (:mod:`repro.durable`), so a cache directory survives process restarts and is
   shared by consecutive CLI invocations.  Memory eviction never deletes
   disk entries; the directory is the durable tier.
 * **Checksummed entries.**  Disk entries are format-2 envelopes —
@@ -26,8 +25,7 @@ Mechanics:
   truncated, or tampered entry is **quarantined** (renamed to
   ``<key>.corrupt``, counted in ``corrupt_entries`` via a typed
   :class:`~repro.errors.CorruptEntryError`) and reported as a miss;
-  readers never crash and never serve damaged bytes.  Legacy format-1
-  entries (bare result JSON) still load.
+  readers never crash and never serve damaged bytes.
 * **First insert wins.**  Concurrent ``put`` of the same key (two shards
   completing identical specs in flight simultaneously) dedups under the
   lock; the stored payloads are bit-identical anyway, so either is valid.
@@ -45,12 +43,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
 
-from ..errors import CorruptEntryError, GatewayError, JobError
+from ..durable import atomic_write_text, quarantine
+from ..errors import CorruptEntryError, GatewayError
 from ..serve.jobs import JobResult, JobSpec
 
 __all__ = ["ResultCache"]
@@ -197,12 +195,12 @@ class ResultCache:
         except FileNotFoundError:
             return None
         except OSError:
-            self._quarantine(path, "unreadable entry")
+            self._quarantine(path)
             return None
         try:
             return self._verify_entry(path, text)
-        except CorruptEntryError as exc:
-            self._quarantine(path, str(exc))
+        except CorruptEntryError:
+            self._quarantine(path)
             return None
 
     def _verify_entry(self, path: Path, text: str) -> dict:
@@ -217,17 +215,6 @@ class ResultCache:
                 f"entry is {type(doc).__name__}, not an object",
                 path=str(path),
             )
-        if "format" not in doc:
-            # Legacy format-1 entry: bare result JSON, no digest to
-            # check — validate the shape the hard way instead.
-            try:
-                JobResult.from_dict(doc)
-            except JobError as exc:
-                raise CorruptEntryError(
-                    f"legacy entry does not parse as a result ({exc})",
-                    path=str(path),
-                ) from None
-            return doc
         result = doc.get("result")
         if doc.get("format") != _ENTRY_FORMAT or not isinstance(
             result, dict
@@ -245,14 +232,11 @@ class ResultCache:
             )
         return result
 
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Rename a damaged entry out of the ``*.json`` namespace."""
-        del reason  # carried by the CorruptEntryError that led here
+    def _quarantine(self, path: Path) -> None:
+        """Count a damaged entry and move it out of the ``*.json``
+        namespace."""
         self.corrupt_entries += 1
-        try:
-            os.replace(path, path.with_suffix(".corrupt"))
-        except OSError:
-            pass  # a racing reader already moved or removed it
+        quarantine(path)
 
     def _write_disk(self, key: str, payload: str) -> None:
         result = json.loads(payload)
@@ -264,13 +248,7 @@ class ResultCache:
             },
             sort_keys=True,
         )
-        path = self._disk_path(key)
-        tmp = path.with_name(f".{path.stem}.tmp-{os.getpid()}")
-        with open(tmp, "w") as fh:
-            fh.write(envelope)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        atomic_write_text(self._disk_path(key), envelope)
 
     # -- Observability -------------------------------------------------------
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 from dataclasses import dataclass, field
 from io import BytesIO
@@ -33,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..durable import atomic_write_bytes
 from ..errors import CheckpointError
 
 __all__ = [
@@ -178,14 +178,8 @@ def save_checkpoint(
     path = Path(path)
     ctx = timers.timer("checkpoint_write") if timers is not None else nullcontext()
     with ctx:
-        data = _pack(state)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        atomic_write_bytes(path, _pack(state))
     return path
 
 

@@ -19,9 +19,8 @@ load re-hashes the file against it.  A mismatch — bit rot, a tampered
 file, a torn write that still unpickles — is **quarantined** (npz
 renamed to ``.corrupt``, sidecar removed, counted through a typed
 :class:`~repro.errors.CorruptEntryError`) and the library is rebuilt;
-readers never crash and never compute on damaged data.  Entries without
-a sidecar (legacy, or the rare sidecar/npz publish race) fall back to
-the unverified load, whose own failure path also quarantines.
+readers never crash and never compute on damaged data.  An npz without
+a sidecar cannot be verified and gets the same treatment.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from ..data.library import (
     build_library,
     library_fingerprint,
 )
+from ..durable import atomic_write_text, quarantine
 from ..errors import CorruptEntryError, DataError, ServeError
 
 __all__ = ["CacheOutcome", "LibraryCache"]
@@ -148,27 +148,26 @@ class LibraryCache:
             self._quarantine(path)
             return None
         except (DataError, OSError, ValueError):
-            # The file loads past the digest check but not as a library
-            # (legacy entry with no sidecar, or a sidecar-matching write
-            # of garbage).  Same response: quarantine and rebuild — a
-            # cache must never be a source of failure.
+            # The file passes the digest check but does not load as a
+            # library (a sidecar-matching write of garbage).  Same
+            # response: quarantine and rebuild — a cache must never be a
+            # source of failure.
             self._quarantine(path)
             return None
         dt = time.perf_counter() - t0
         return library, CacheOutcome(fp, "disk-cache", load_seconds=dt)
 
     def _verify_digest(self, path: Path) -> None:
-        """Check ``path`` against its ``.sha256`` sidecar, if present.
-
-        No sidecar = legacy entry (or the publish raced between sidecar
-        and npz): fall through to the load, which has its own failure
-        quarantine.  A present-but-wrong sidecar is typed corruption.
-        """
+        """Check ``path`` against its ``.sha256`` sidecar.  A missing or
+        wrong sidecar is typed corruption: an entry that cannot be
+        verified is never served."""
         sidecar = self.digest_path_for(path)
         try:
             expected = sidecar.read_text().strip()
-        except OSError:
-            return
+        except OSError as exc:
+            raise CorruptEntryError(
+                f"no readable digest sidecar: {exc}", path=str(path)
+            ) from None
         try:
             actual = hashlib.sha256(path.read_bytes()).hexdigest()
         except OSError as exc:
@@ -186,10 +185,7 @@ class LibraryCache:
         """Move a damaged entry out of the cache namespace (keeping the
         bytes for forensics) so the caller rebuilds."""
         self.corrupt_entries += 1
-        try:
-            os.replace(path, path.with_suffix(".corrupt"))
-        except OSError:
-            pass  # racing reader already quarantined it
+        quarantine(path)
         try:
             self.digest_path_for(path).unlink()
         except OSError:
@@ -208,7 +204,8 @@ class LibraryCache:
             save_library(library, tmp)
             # Sidecar first (intent), npz last (commit): a crash between
             # the two leaves a sidecar with no npz — a miss, not a lie.
-            self._publish_digest(path, tmp)
+            digest = hashlib.sha256(tmp.read_bytes()).hexdigest()
+            atomic_write_text(self.digest_path_for(path), digest + "\n")
             with open(tmp, "rb") as fh:
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -218,18 +215,6 @@ class LibraryCache:
             except FileNotFoundError:
                 pass
         return library, CacheOutcome(fp, "built", build_seconds=build_s)
-
-    def _publish_digest(self, path: Path, tmp: Path) -> None:
-        digest = hashlib.sha256(tmp.read_bytes()).hexdigest()
-        sidecar = self.digest_path_for(path)
-        sidecar_tmp = sidecar.with_name(
-            f".{sidecar.name}.tmp-{os.getpid()}"
-        )
-        with open(sidecar_tmp, "w") as fh:
-            fh.write(digest + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(sidecar_tmp, sidecar)
 
     # -- Observability --------------------------------------------------------
 

@@ -27,6 +27,7 @@ import time
 from collections import deque
 from pathlib import Path
 
+from ..durable import atomic_write_text, quarantine
 from ..errors import (
     JobError,
     PoisonedJobError,
@@ -422,29 +423,6 @@ class SimulationService:
 _SPOOL_SUBDIRS = ("pending", "done", "failed")
 
 
-def atomic_write_text(
-    path: str | Path, text: str, *, fsync: bool = True
-) -> Path:
-    """Publish ``text`` at ``path`` all-or-nothing.
-
-    Write to a dot-prefixed temp file in the same directory (invisible
-    to the spool's ``*.json`` globs), flush + fsync, then ``os.replace``
-    — so a reader observes either the complete old file or the complete
-    new file, never a half-record, even across a kill mid-write.
-    """
-    import os
-
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        fh.flush()
-        if fsync:
-            os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
-
-
 def spool_dirs(root: str | Path, *, create: bool = False) -> dict[str, Path]:
     root = Path(root)
     dirs = {name: root / name for name in _SPOOL_SUBDIRS}
@@ -477,8 +455,6 @@ def read_spool_pending(root: str | Path) -> list[JobSpec]:
     pending file that does not parse as a spec is quarantined — renamed
     to ``<job>.corrupt``, out of the ``*.json`` namespace — and skipped.
     """
-    import os
-
     dirs = spool_dirs(root)
     specs = []
     if dirs["pending"].is_dir():
@@ -486,10 +462,7 @@ def read_spool_pending(root: str | Path) -> list[JobSpec]:
             try:
                 specs.append(JobSpec.from_json(path.read_text()))
             except (JobError, OSError):
-                try:
-                    os.replace(path, path.with_suffix(".corrupt"))
-                except OSError:
-                    pass
+                quarantine(path)
     specs.sort(
         key=lambda s: (-s.priority, s.submitted_at or 0.0, s.job_id)
     )

@@ -86,8 +86,8 @@ def lane_utilization_report(
     gather-locality profile recorded by the event schedule
     (:meth:`~repro.transport.stats.TransportStats.record_gather_indices`):
     ``mean_stride`` is the mean absolute index stride between consecutive
-    XS-lookup gathers — near-sequential (≈1) under the energy-sorted bank
-    policy, on the order of the union-grid size without it — or ``None``
+    XS-lookup gathers in tile-dispatch order — small against the
+    union-grid size because every tile is an energy band — or ``None``
     when no gather stream was recorded (history trace, no union grid).
     """
     if width <= 0:

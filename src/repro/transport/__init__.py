@@ -17,7 +17,7 @@ from .backends import (
 from .context import FREE_GAS_CUTOFF, TransportContext
 from .delta import MajorantXS, fold_reflective, run_generation_delta
 from .entropy import EntropyMesh, shannon_entropy
-from .events import EventLoopStats, run_generation_event
+from .events import run_generation_event
 from .history import run_generation_history, transport_history
 from .meshtally import PowerTally
 from .particle import FissionBank, FissionSite, Particle, ParticleBank
@@ -47,7 +47,6 @@ __all__ = [
     "run_generation_delta",
     "EntropyMesh",
     "shannon_entropy",
-    "EventLoopStats",
     "run_generation_event",
     "run_generation_history",
     "transport_history",

@@ -4,9 +4,9 @@ A :class:`TransportBackend` is a *schedule* over the shared stage kernels
 (:mod:`repro.transport.stages`): ``history`` runs the scalar applies one
 particle at a time, ``event`` runs the banked applies over the compacted
 live bank, ``delta`` runs the banked applies under Woodcock majorant
-tracking, and ``numba-event`` runs the event schedule with the XS hot
-path routed through the compiled-kernel tier
-(:mod:`repro.transport.jit`) over an energy-sorted bank.  The registry
+tracking, and ``numba-event`` is ``event`` with a different calculator:
+the same schedule, the XS hot path routed through the compiled-kernel
+tier (:mod:`repro.transport.jit`).  The registry
 lets every driver — :class:`Simulation`, ``repro.serve``,
 ``repro.cluster``, the execution-model schedulers — select a backend by
 name instead of importing module functions, so a new schedule plugs in
@@ -135,17 +135,15 @@ class HistoryBackend:
 class EventBackend:
     """The banked schedule (Brown & Martin event-based vectorization).
 
-    ``sort_policy`` is the bank-ordering policy of the lookup/flight
-    super-stage (see :data:`repro.transport.events.SORT_POLICIES`);
-    ``"energy"`` enables the energy-sorted event bank, which is
-    bit-identical to the default live-index order.
+    :meth:`_context` is the one hook a subclass overrides to run the same
+    schedule with a different calculator.
     """
 
     name = "event"
     supports_track_length = True
 
-    def __init__(self, sort_policy: str = "none") -> None:
-        self.sort_policy = sort_policy
+    def _context(self, ctx: TransportContext) -> TransportContext:
+        return ctx
 
     def run_generation(
         self,
@@ -162,9 +160,8 @@ class EventBackend:
         from .events import run_generation_event
 
         return run_generation_event(
-            ctx, positions, energies, tallies, k_norm, first_id,
-            stats=stats, power=power, spectrum=spectrum,
-            sort_policy=self.sort_policy,
+            self._context(ctx), positions, energies, tallies, k_norm,
+            first_id, stats=stats, power=power, spectrum=spectrum,
         )
 
 
@@ -211,21 +208,16 @@ class DeltaBackend:
         )
 
 
-class NumbaEventBackend:
-    """The event schedule with the compiled-kernel XS tier and an
-    energy-sorted bank.
+class NumbaEventBackend(EventBackend):
+    """``event`` plus the :class:`~repro.transport.jit.JitXSCalculator`
+    context wrap — the same schedule, a different calculator.
 
-    Identical to :class:`EventBackend` except that the transport context's
-    calculator is wrapped in a
-    :class:`~repro.transport.jit.JitXSCalculator` (so the XS-lookup and
-    attribution hot paths run as ``@njit`` kernels when numba is
-    installed — ``pip install repro[jit]`` — and as the ordinary banked
-    NumPy applies otherwise) and the bank is processed energy-sorted by
-    default, so the compiled gathers walk the union grid near
-    sequentially.  Both substitutions are bit-identity preserving:
-    a ``numba-event`` run produces exactly the tallies, fission banks,
-    and work counters of an ``event`` (or ``history``) run with the same
-    seed, with or without numba present.
+    The XS-lookup and attribution hot paths run as ``@njit`` kernels when
+    numba is installed (``pip install repro[jit]``) and as the ordinary
+    banked NumPy applies otherwise.  The substitution preserves
+    bit-identity: a ``numba-event`` run produces exactly the tallies,
+    fission banks, and work counters of an ``event`` (or ``history``) run
+    with the same seed, with or without numba present.
 
     The wrapped-context cache is per (instance, context), like the delta
     backend's majorant — another reason :func:`get_backend` returns fresh
@@ -233,15 +225,13 @@ class NumbaEventBackend:
     """
 
     name = "numba-event"
-    supports_track_length = True
 
-    def __init__(self, sort_policy: str = "energy", compiled: str = "auto") -> None:
-        self.sort_policy = sort_policy
+    def __init__(self, compiled: str = "auto") -> None:
         self.compiled = compiled
         self._jit_ctx: TransportContext | None = None
         self._base_ctx: TransportContext | None = None
 
-    def _wrap(self, ctx: TransportContext) -> TransportContext:
+    def _context(self, ctx: TransportContext) -> TransportContext:
         import dataclasses
 
         from .jit import JitXSCalculator
@@ -259,28 +249,10 @@ class NumbaEventBackend:
             self._base_ctx = ctx
         return self._jit_ctx
 
-    def run_generation(
-        self,
-        ctx: TransportContext,
-        positions: np.ndarray,
-        energies: np.ndarray,
-        tallies: GlobalTallies,
-        k_norm: float = 1.0,
-        first_id: int = 0,
-        stats: TransportStats | None = None,
-        power=None,
-        spectrum=None,
-    ) -> FissionBank:
-        from .events import run_generation_event
-
-        return run_generation_event(
-            self._wrap(ctx), positions, energies, tallies, k_norm, first_id,
-            stats=stats, power=power, spectrum=spectrum,
-            sort_policy=self.sort_policy,
-        )
-
 
 register_backend("history", HistoryBackend)
 register_backend("event", EventBackend)
 register_backend("delta", DeltaBackend)
+# The event schedule with the compiled-kernel calculator, not a schedule
+# of its own.
 register_backend("numba-event", NumbaEventBackend)

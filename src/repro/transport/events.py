@@ -46,19 +46,12 @@ from .stages import (
     SURVIVAL,
     XS_LOOKUP,
     SigmaTables,
+    material_tiles,
 )
 from .stats import TransportStats
 from .tally import GlobalTallies
 
-__all__ = ["run_generation_event", "EventLoopStats", "SORT_POLICIES"]
-
-#: Backward-compatible alias: the event loop's stats class is now the
-#: schedule-agnostic :class:`repro.transport.stats.TransportStats`.
-EventLoopStats = TransportStats
-
-
-#: Valid values of the event schedule's bank-ordering policy.
-SORT_POLICIES = ("none", "energy")
+__all__ = ["run_generation_event"]
 
 
 def run_generation_event(
@@ -71,40 +64,16 @@ def run_generation_event(
     stats: TransportStats | None = None,
     power: PowerTally | None = None,
     spectrum: SpectrumTally | None = None,
-    *,
-    sort_policy: str = "none",
 ) -> FissionBank:
     """Transport one generation of source particles, event style.
 
     Mirrors :func:`repro.transport.history.run_generation_history` exactly
     (same tallies, same fission bank, same RNG streams); returns the
-    next-generation fission bank.
-
-    ``sort_policy`` selects the bank-ordering policy of the lookup/flight
-    super-stage:
-
-    * ``"none"`` — live-index (ascending) order, the PR 3 behaviour;
-    * ``"energy"`` — a stable argsort of the live bank by energy is applied
-      before the XS-lookup stage.  (The lookup dispatch bands each material
-      group by energy itself, whatever this policy says — see
-      :func:`repro.transport.stages.material_tiles` — so what the policy
-      still changes is the order of the flight stage and of the
-      gather-stride probe below.)  The flight stage runs in the same
-      order; its gathered outputs are then **unsorted via the inverse
-      permutation** before any
-      tally accumulation or sub-bank formation, so every float sum and
-      every downstream stage sees exactly the live-index ordering.  Because
-      each particle draws only from its private LCG stream and every stage
-      writes per-particle results by absolute bank index, the sorted run is
-      **bit-identical** to the unsorted one — tallies, banks, counters
-      (enforced by ``tests/transport/test_sorted_bank.py``).
+    next-generation fission bank.  Every stage walks the bank in live-index
+    (ascending) order; the one stage that profits from another order, the
+    XS lookup, bands its own tiles by energy
+    (:func:`repro.transport.stages.material_tiles`).
     """
-    if sort_policy not in SORT_POLICIES:
-        raise ValueError(
-            f"unknown sort_policy {sort_policy!r}; "
-            f"expected one of {SORT_POLICIES}"
-        )
-    energy_sorted = sort_policy == "energy"
     counters = ctx.counters
     fission_bank = FissionBank()
 
@@ -132,41 +101,20 @@ def run_generation_event(
             break
         alive_idx = live
 
-        # Bank-ordering policy: the lookup/flight super-stage may walk the
-        # bank energy-sorted (near-sequential union-grid gathers); all
-        # per-particle results are scattered back by absolute bank index,
-        # so only the *returned* gathered arrays need unsorting below.
-        if energy_sorted:
-            order = np.argsort(bank.energy[alive_idx], kind="stable")
-            lookup_idx = alive_idx[order]
-        else:
-            order = None
-            lookup_idx = alive_idx
-
         # ---- Stage 1: banked cross-section lookups.
-        XS_LOOKUP.banked(ctx, bank, lookup_idx, sig)
+        XS_LOOKUP.banked(ctx, bank, alive_idx, sig)
         if stats is not None and ctx.union is not None:
-            # Gather-locality probe: the union intervals in the order this
-            # schedule handed the bank to the lookup stage (diagnostics
+            # Gather-locality probe: the union intervals in the order the
+            # lookup stage's tile dispatch just walked them (diagnostics
             # only — no RNG, no counters — so recording cannot perturb the
             # physics).
-            stats.record_gather_indices(
-                ctx.union.search_many(bank.energy[lookup_idx])
-            )
+            live_e = bank.energy[alive_idx]
+            tiles = material_tiles(ctx, bank.material[alive_idx], live_e)
+            walk = np.concatenate([lanes for _, lanes in tiles])
+            stats.record_gather_indices(ctx.union.search_many(live_e[walk]))
 
         # ---- Stage 2: sample collision distances; ray-trace; advance.
-        pos, dirs, w, d, crossing = FLIGHT.banked(ctx, bank, lookup_idx, sig)
-        if order is not None:
-            # Inverse permutation: restore live-index order before any
-            # accumulation, so float sums (and sub-bank formation) are
-            # bit-identical to the unsorted schedule.
-            inv = np.empty_like(order)
-            inv[order] = np.arange(order.size)
-            pos = pos[inv]
-            dirs = dirs[inv]
-            w = w[inv]
-            d = d[inv]
-            crossing = crossing[inv]
+        pos, dirs, w, d, crossing = FLIGHT.banked(ctx, bank, alive_idx, sig)
         tallies.score_track_many(w, d, sig.nu_fission[alive_idx])
         if power is not None:
             power.score_track_many(

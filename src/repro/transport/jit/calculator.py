@@ -31,8 +31,7 @@ calculator has no union grid, or uses the AoS ablation layout, or a call
 asks for ``per_nuclide_total`` (a shape the kernels don't produce), the
 proxy simply calls the wrapped NumPy method.  ``compiled="force"`` runs
 the kernels even without numba — the pure-Python twins, unusably slow for
-real banks but exactly what the numba-free equivalence tests need —
-and ``compiled="off"`` pins the proxy to pure delegation.
+real banks but exactly what the numba-free equivalence tests need.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ __all__ = ["JitXSCalculator"]
 #: carries); any other reaction delegates to the NumPy path.
 _GATHER_ROWS = (Reaction.ELASTIC, Reaction.CAPTURE, Reaction.FISSION)
 
-_COMPILED_MODES = ("auto", "force", "off")
+_COMPILED_MODES = ("auto", "force")
 
 
 class JitXSCalculator:
@@ -68,9 +67,9 @@ class JitXSCalculator:
         The calculator to wrap.  Shared by reference — plans, caches, and
         physics toggles are the wrapped object's own.
     compiled:
-        ``"auto"`` (kernels when numba is importable, NumPy otherwise),
+        ``"auto"`` (kernels when numba is importable, NumPy otherwise) or
         ``"force"`` (kernels always — pure-Python twins without numba;
-        test use), or ``"off"`` (pure delegation).
+        test use).
     """
 
     def __init__(self, calc: XSCalculator, *, compiled: str = "auto") -> None:
@@ -102,11 +101,9 @@ class JitXSCalculator:
     def active(self) -> bool:
         """True when calls will route through the (possibly pure-Python
         twin) kernels rather than delegating to the NumPy path."""
-        if self.compiled == "off":
+        if self.compiled == "auto" and not HAVE_NUMBA:
             return False
-        if self.compiled == "force":
-            return self._kernel_capable()
-        return HAVE_NUMBA and self._kernel_capable()
+        return self._kernel_capable()
 
     def _kernel_capable(self) -> bool:
         calc = self.calc

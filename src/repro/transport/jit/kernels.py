@@ -66,8 +66,8 @@ def xs_gather3(
     (``searchsorted(..., side="right") - 1`` semantics, clipped), then for
     each material nuclide ``k`` a gather of the bracketing grid points and
     the linear interpolation ``lo*g + hi*f`` into the ``(n_nuc, N)``
-    output matrices.  Loop order is particle-outer so an energy-sorted
-    bank walks each nuclide's grid near-sequentially.
+    output matrices.  Loop order is particle-outer so an energy-banded
+    tile walks each nuclide's grid near-sequentially.
     """
     n = energies.shape[0]
     n_nuc = offsets.shape[0]

@@ -57,9 +57,9 @@ class Settings:
     (:func:`repro.transport.backends.available_backends`): ``"history"``
     (scalar, OpenMC-style), ``"event"`` (banked, vectorized),
     ``"delta"`` (Woodcock delta tracking against a majorant cross
-    section), or ``"numba-event"`` (the event schedule with the
-    compiled-kernel XS tier and an energy-sorted bank; runs the NumPy
-    fallback, bit-identically, when numba is not installed).
+    section), or ``"numba-event"`` (``"event"`` with the compiled-kernel
+    XS calculator — the same schedule; runs the NumPy fallback,
+    bit-identically, when numba is not installed).
     """
 
     n_particles: int = 1000

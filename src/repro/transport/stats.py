@@ -8,9 +8,6 @@ schedules execute the same physics work in a different order, so the
 and crossings), while the row structure exposes each schedule's shape:
 event rows shrink as the generation drains (the lane-utilization story),
 history rows show the per-history divergence that banking has to absorb.
-
-``EventLoopStats`` remains as a backward-compatible alias in
-:mod:`repro.transport.events`.
 """
 
 from __future__ import annotations
@@ -39,10 +36,9 @@ class TransportStats:
         self.retries = 0
         #: Gather-locality accumulators: sum of |stride| between consecutive
         #: union-grid gather indices, and the number of strides observed.
-        #: Recorded by the event schedule in the order the XS-lookup stage
-        #: actually walks the bank, so the energy-sorted bank policy is
-        #: directly observable (mean stride collapses toward ~0-1) instead
-        #: of inferred from wall time.
+        #: Recorded by the event schedule in the order the XS-lookup stage's
+        #: tile dispatch walks the bank, so the energy banding is directly
+        #: observable instead of inferred from wall time.
         self._gather_stride_sum = 0
         self._gather_stride_n = 0
 
@@ -54,9 +50,9 @@ class TransportStats:
         """Accumulate the stride profile of one union-grid gather stream.
 
         ``indices`` are the grid intervals a lookup dispatch gathers from,
-        in dispatch order.  A fully energy-sorted bank yields near-zero
-        strides (sequential walks of the grid); an unsorted bank yields
-        strides on the order of the grid size.
+        in dispatch order.  Energy-banded tiles walk the grid in one
+        direction (small strides); bank order yields strides on the order
+        of the grid size.
         """
         indices = np.asarray(indices)
         if indices.size < 2:

@@ -9,7 +9,8 @@ from repro.execution.offload import OffloadCostModel
 from repro.execution.trace import trace_offload
 from repro.machine.presets import JLSE_HOST, MIC_7120A, PCIE_GEN2_X16
 from repro.transport.context import TransportContext
-from repro.transport.events import EventLoopStats, run_generation_event
+from repro.transport.events import run_generation_event
+from repro.transport.stats import TransportStats
 from repro.transport.tally import GlobalTallies
 
 
@@ -24,7 +25,7 @@ def stats(small_library):
     ctx = TransportContext.create(
         small_library, pincell=True, union=union, master_seed=2
     )
-    st = EventLoopStats()
+    st = TransportStats()
     rng = np.random.default_rng(3)
     pos = np.column_stack(
         [rng.uniform(-0.3, 0.3, 120), rng.uniform(-0.3, 0.3, 120),
@@ -65,12 +66,12 @@ class TestTrace:
 
     def test_empty_trace_rejected(self, model):
         with pytest.raises(ExecutionError):
-            trace_offload(EventLoopStats(), model)
+            trace_offload(TransportStats(), model)
 
     def test_large_bank_amortizes(self, model):
         """A synthetic trace with one 1e6-particle bank has a small fixed
         fraction."""
-        st = EventLoopStats()
+        st = TransportStats()
         st.record(1_000_000, 0, 0)
         trace = trace_offload(st, model)
         assert trace.fixed_fraction < 0.1

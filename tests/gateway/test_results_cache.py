@@ -190,18 +190,16 @@ class TestDiskTier:
         (tmp_path / "rc" / f"{s.cache_key()}.json").write_text("{broken")
         assert cache.get(s) is None
 
-    def test_legacy_format1_entry_still_loads(self, tmp_path):
+    def test_legacy_format1_entry_is_quarantined(self, tmp_path):
         s = spec(seed=45)
-        result = done_result(s, k=1.01)
         cache = ResultCache(tmp_path / "rc")
-        # A pre-checksum cache wrote bare result JSON.
-        (tmp_path / "rc" / f"{s.cache_key()}.json").write_text(
-            result.to_json()
-        )
-        hit = cache.get(s)
-        assert hit is not None
-        assert hit.payload_json() == result.payload_json()
-        assert cache.stats()["corrupt_entries"] == 0
+        # A pre-checksum cache wrote bare result JSON: no digest, so
+        # nothing to verify it against — a miss, never an unverified hit.
+        path = tmp_path / "rc" / f"{s.cache_key()}.json"
+        path.write_text(done_result(s, k=1.01).to_json())
+        assert cache.get(s) is None
+        assert cache.stats()["corrupt_entries"] == 1
+        assert path.with_suffix(".corrupt").exists()
 
     def test_duplicate_put_against_disk_is_refused(self, tmp_path):
         s = spec(seed=51)

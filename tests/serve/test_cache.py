@@ -93,12 +93,14 @@ class TestDigestVerification:
         assert outcome.source == "built"
         assert cache.corrupt_entries == 1
 
-    def test_missing_sidecar_is_a_legacy_accept(self, tmp_path):
+    def test_missing_sidecar_is_quarantined(self, tmp_path):
+        """An npz nothing vouches for is never an unverified hit."""
         cache, path = self.warm(tmp_path)
         cache.digest_path_for(path).unlink()
         _, outcome = cache.get_or_build("hm-small", TINY)
-        assert outcome.source == "disk-cache"
-        assert cache.corrupt_entries == 0
+        assert outcome.source == "built"
+        assert cache.corrupt_entries == 1
+        assert path.with_suffix(".corrupt").exists()
 
     def test_unloadable_corruption_counts_too(self, tmp_path):
         """Garbage that fails the plain load (no sidecar help needed) is

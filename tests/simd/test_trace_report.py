@@ -9,32 +9,38 @@ would waste."""
 import numpy as np
 import pytest
 
-from repro.data.unionized import UnionizedGrid
 from repro.simd.analysis import lane_utilization_report
 from repro.transport.backends import get_backend
 from repro.transport.context import TransportContext
+from repro.transport.stages import XSLookupKernel
 from repro.transport.stats import TransportStats
 from repro.transport.tally import GlobalTallies
 
 
+def run(name, library, union, stats, n):
+    """One generation of ``n`` pin-cell source particles on backend
+    ``name``; returns ``(ctx, tallies, fission_bank)``."""
+    ctx = TransportContext.create(
+        library, pincell=True, union=union, master_seed=7
+    )
+    rng = np.random.default_rng(5)
+    pos = np.column_stack(
+        [rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n),
+         rng.uniform(-150, 150, n)]
+    )
+    tallies = GlobalTallies()
+    bank = get_backend(name).run_generation(
+        ctx, pos, np.ones(n), tallies, 1.0, 0, stats=stats
+    )
+    return ctx, tallies, bank
+
+
 @pytest.fixture(scope="module")
-def traces(small_library):
-    union = UnionizedGrid(small_library)
+def traces(small_library, small_union):
     out = {}
     for name in ("history", "event"):
-        ctx = TransportContext.create(
-            small_library, pincell=True, union=union, master_seed=7
-        )
-        rng = np.random.default_rng(5)
-        n = 80
-        pos = np.column_stack(
-            [rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n),
-             rng.uniform(-150, 150, n)]
-        )
         stats = TransportStats()
-        get_backend(name).run_generation(
-            ctx, pos, np.ones(n), GlobalTallies(), 1.0, 0, stats=stats
-        )
+        ctx, _, _ = run(name, small_library, small_union, stats, n=80)
         out[name] = (ctx, stats)
     return out
 
@@ -87,32 +93,40 @@ def test_gather_metric_present_on_event_trace(traces):
     assert report["gather"]["mean_stride"] >= 0.0
 
 
-def test_energy_sorting_shrinks_gather_stride(small_library):
-    """The point of the energy-sorted bank: consecutive union-grid gathers
-    become near-sequential, so the mean index stride collapses versus the
-    unsorted schedule's random walk across the grid."""
-    union = UnionizedGrid(small_library)
-    strides = {}
-    for policy in ("none", "energy"):
-        ctx = TransportContext.create(
-            small_library, pincell=True, union=union, master_seed=7
-        )
-        rng = np.random.default_rng(5)
-        n = 80
-        pos = np.column_stack(
-            [rng.uniform(-0.3, 0.3, n), rng.uniform(-0.3, 0.3, n),
-             rng.uniform(-150, 150, n)]
-        )
-        stats = TransportStats()
-        backend = get_backend("event")
-        backend.sort_policy = policy
-        backend.run_generation(
-            ctx, pos, np.ones(n), GlobalTallies(), 1.0, 0, stats=stats
-        )
-        strides[policy] = lane_utilization_report(stats)["gather"][
-            "mean_stride"
-        ]
-    assert strides["energy"] < strides["none"] / 10
+def test_energy_sorting_shrinks_gather_stride(
+    monkeypatch, small_library, small_union
+):
+    """The probe reports the lookup's own dispatch order — energy-banded
+    tiles — not the bank order the schedule hands the stage: the recorded
+    stride is an order of magnitude below that of the same live energies
+    walked in bank order (the gap widens with the bank: ~24x at 800)."""
+    live = []
+    banked = XSLookupKernel.banked
+
+    def spy(self, ctx, bank, alive_idx, sig):
+        live.append(bank.energy[alive_idx])
+        banked(self, ctx, bank, alive_idx, sig)
+
+    monkeypatch.setattr(XSLookupKernel, "banked", spy)
+    stats = TransportStats()
+    run("event", small_library, small_union, stats, n=800)
+    in_bank_order = np.concatenate(
+        [np.abs(np.diff(small_union.search_many(e))) for e in live]
+    )
+    report = lane_utilization_report(stats)["gather"]
+    assert report["strides"] == in_bank_order.size
+    assert report["mean_stride"] < in_bank_order.mean() / 10
+
+
+def test_recording_the_trace_perturbs_nothing(small_library, small_union):
+    """The probe draws no RNG and touches no counter: a traced run and an
+    untraced one are the same run."""
+    plain = run("event", small_library, small_union, None, n=40)
+    traced = run("event", small_library, small_union, TransportStats(), n=40)
+    assert vars(traced[1]) == vars(plain[1])
+    assert traced[0].counters.as_dict() == plain[0].counters.as_dict()
+    np.testing.assert_array_equal(traced[2].positions, plain[2].positions)
+    np.testing.assert_array_equal(traced[2].energies, plain[2].energies)
 
 
 def test_record_gather_indices_degenerate():

@@ -127,6 +127,18 @@ def test_supervise_package_is_a_leaf():
                 )
 
 
+def test_durable_leaf_rule_flags_any_repro_import(tmp_path):
+    """Rule 9: the durable-I/O module may import repro.errors only."""
+    leaf = tmp_path / "durable.py"
+    leaf.write_text(
+        "import os\nfrom .errors import ReproError\n"
+        "from .serve.jobs import JobSpec\n"
+    )
+    errors = check_layering._check_leaf(leaf)
+    assert len(errors) == 1
+    assert "repro.serve.jobs" in errors[0]
+
+
 def test_scenarios_roof_rule_flags_core_import(tmp_path):
     """Rule 5 machinery: a core-module import of repro.scenarios is a
     violation, and the CLI's own import is exempt."""

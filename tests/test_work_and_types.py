@@ -5,7 +5,8 @@ import pytest
 
 from repro.data.unionized import UnionizedGrid
 from repro.transport.context import FREE_GAS_CUTOFF, TransportContext
-from repro.transport.events import EventLoopStats, run_generation_event
+from repro.transport.events import run_generation_event
+from repro.transport.stats import TransportStats
 from repro.transport.tally import GlobalTallies
 from repro.types import N_REACTIONS, CollisionChannel, EventKind, Reaction
 from repro.work import WorkCounters
@@ -92,13 +93,13 @@ class TestTransportContext:
         assert p[0] > 0
 
 
-class TestEventLoopStats:
+class TestTransportStats:
     def test_queue_trace_recorded(self, small_library):
         union = UnionizedGrid(small_library)
         ctx = TransportContext.create(
             small_library, pincell=True, union=union, master_seed=2
         )
-        stats = EventLoopStats()
+        stats = TransportStats()
         rng = np.random.default_rng(2)
         pos = np.column_stack(
             [rng.uniform(-0.3, 0.3, 40), rng.uniform(-0.3, 0.3, 40),
@@ -127,7 +128,7 @@ class TestEventLoopStats:
         ctx = TransportContext.create(
             small_library, pincell=True, union=union, master_seed=2
         )
-        stats = EventLoopStats()
+        stats = TransportStats()
         rng = np.random.default_rng(2)
         pos = np.column_stack(
             [rng.uniform(-0.3, 0.3, 64), rng.uniform(-0.3, 0.3, 64),
@@ -140,11 +141,11 @@ class TestEventLoopStats:
         assert 0.0 < eff <= 1.0
 
 
-class TestEventLoopStatsArrays:
+class TestTransportStatsArrays:
     """Array-backed storage: growth, views, and the summary() contract."""
 
     def test_array_backed_growth(self):
-        stats = EventLoopStats()
+        stats = TransportStats()
         for i in range(100):  # forces several capacity doublings
             stats.record(100 - i, (100 - i) // 2, (100 - i) - (100 - i) // 2)
         assert stats.iterations == 100
@@ -155,7 +156,7 @@ class TestEventLoopStatsArrays:
         assert stats.lookup_counts[-1] == 1
 
     def test_summary_statistics(self):
-        stats = EventLoopStats()
+        stats = TransportStats()
         stats.record(10, 6, 4)
         stats.record(4, 1, 3)
         s = stats.summary()
@@ -167,14 +168,14 @@ class TestEventLoopStatsArrays:
         assert s["stages"]["crossing"]["max"] == 4
 
     def test_summary_empty(self):
-        s = EventLoopStats().summary()
+        s = TransportStats().summary()
         assert s["iterations"] == 0
         assert s["stages"]["lookup"]["total"] == 0
 
     def test_lane_utilization_report(self):
         from repro.simd.analysis import lane_utilization_report
 
-        stats = EventLoopStats()
+        stats = TransportStats()
         stats.record(32, 20, 12)
         stats.record(16, 10, 6)
         stats.record(3, 2, 1)
@@ -192,4 +193,4 @@ class TestEventLoopStatsArrays:
         from repro.simd.analysis import lane_utilization_report
 
         with pytest.raises(ValueError):
-            lane_utilization_report(EventLoopStats(), width=0)
+            lane_utilization_report(TransportStats(), width=0)

@@ -92,7 +92,6 @@ class TestRegistry:
         assert isinstance(b, NumbaEventBackend)
         assert b.name == "numba-event"
         assert b.supports_track_length is True
-        assert b.sort_policy == "energy"
         assert b.compiled == "auto"
 
     def test_satisfies_protocol(self):
@@ -119,11 +118,11 @@ class TestProxy:
         assert outer.calc is calc
 
     def test_invalid_mode_rejected(self, calc):
-        with pytest.raises(ValueError, match="compiled"):
-            JitXSCalculator(calc, compiled="maybe")
+        for mode in ("maybe", "off"):
+            with pytest.raises(ValueError, match="compiled"):
+                JitXSCalculator(calc, compiled=mode)
 
     def test_active_matrix(self, calc, small_library):
-        assert JitXSCalculator(calc, compiled="off").active is False
         assert JitXSCalculator(calc, compiled="force").active is True
         assert JitXSCalculator(calc, compiled="auto").active is HAVE_NUMBA
         # Not kernel-capable without a union grid / with the AoS layout.
@@ -294,7 +293,7 @@ class TestNumbaEventTransport:
         )
         return (te, be), (cj, tj, bj)
 
-    @pytest.mark.parametrize("compiled", ["auto", "force", "off"])
+    @pytest.mark.parametrize("compiled", ["auto", "force"])
     def test_bit_identical_to_event(self, small_library, union, compiled):
         (te, be), (cj, tj, bj) = self._pair(
             small_library, union, compiled=compiled
@@ -303,6 +302,24 @@ class TestNumbaEventTransport:
         assert tj.absorption == te.absorption
         assert tj.track_length == te.track_length
         assert len(bj) == len(be)
+        np.testing.assert_array_equal(bj.positions, be.positions)
+        np.testing.assert_array_equal(bj.energies, be.energies)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_degenerate_bank_sizes(self, small_library, union, n):
+        """Empty, single-lane and two-lane banks through the kernels'
+        pure-Python twins: tallies, counters, raw fission-bank append
+        order."""
+        ce, te, be = run_backend(small_library, union, get_backend("event"), n)
+        cj, tj, bj = run_backend(
+            small_library, union, NumbaEventBackend(compiled="force"), n
+        )
+        assert tj.collision == te.collision
+        assert tj.absorption == te.absorption
+        assert tj.track_length == te.track_length
+        assert tj.n_collisions == te.n_collisions
+        assert tj.n_leaks == te.n_leaks
+        assert cj.counters.as_dict() == ce.counters.as_dict()
         np.testing.assert_array_equal(bj.positions, be.positions)
         np.testing.assert_array_equal(bj.energies, be.energies)
 
@@ -318,8 +335,8 @@ class TestNumbaEventTransport:
         ctx = TransportContext.create(
             small_library, pincell=True, union=union, master_seed=7
         )
-        wrapped = backend._wrap(ctx)
-        assert backend._wrap(ctx) is wrapped
+        wrapped = backend._context(ctx)
+        assert backend._context(ctx) is wrapped
         assert isinstance(wrapped.calculator, JitXSCalculator)
         assert wrapped.calculator.calc is ctx.calculator
         # Counters flow to the caller's objects: shared by reference.
@@ -327,7 +344,7 @@ class TestNumbaEventTransport:
         ctx2 = TransportContext.create(
             small_library, pincell=True, union=union, master_seed=7
         )
-        assert backend._wrap(ctx2) is not wrapped
+        assert backend._context(ctx2) is not wrapped
 
     def test_simulation_selects_numba_event(self, small_library):
         from repro.transport import Settings, Simulation

@@ -55,6 +55,10 @@ annotation-only and exempt):
    must never reach the physics or hardware layers (transport,
    execution, cluster, simd, machine) directly.
 
+9. **Durable I/O is a leaf.**  ``repro/durable.py`` (atomic publish,
+   quarantine) is imported by resilience, serve and the gateway alike;
+   it may import ``repro.errors`` and nothing else of ``repro``.
+
 Run from the repo root::
 
     python tools/check_layering.py
@@ -152,6 +156,9 @@ GATEWAY_FORBIDDEN = (
     "repro.simd",
     "repro.machine",
 )
+
+#: Rule 9: the one module every persisting tier imports.
+DURABLE_FILE = SRC / "repro" / "durable.py"
 
 
 def _rel(path: Path) -> Path:
@@ -253,7 +260,18 @@ def check() -> list[str]:
         CHAOS_DIR, "repro.chaos", CHAOS_FORBIDDEN,
         "chaos harness reaches below the service surface into",
     ))
+    errors.extend(_check_leaf(DURABLE_FILE))
     return errors
+
+
+def _check_leaf(path: Path) -> list[str]:
+    """Rule 9: a top-level leaf module imports only ``repro.errors``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{_rel(path)}:{lineno}: leaf module imports {mod!r}"
+        for lineno, mod in runtime_imports(tree, "repro")
+        if _in_layer(mod, "repro") and mod != "repro.errors"
+    ]
 
 
 def _check_scenarios_roof() -> list[str]:
@@ -321,7 +339,7 @@ def main() -> int:
     missing = [
         p for p in (*STAGE_FILES, *EXECUTION_MODEL_FILES,
                     JIT_DIR, SUPERVISE_DIR, RESILIENCE_DIR, SCENARIOS_DIR,
-                    GATEWAY_DIR, CHAOS_DIR)
+                    GATEWAY_DIR, CHAOS_DIR, DURABLE_FILE)
         if not p.exists()
     ]
     if missing:
