@@ -8,7 +8,7 @@ its alpha, and the adaptive controller recovers from a bad initial guess.
 import pytest
 
 from repro.execution.loadbalance import AdaptiveAlphaController
-from repro.execution.symmetric import SymmetricNode
+from repro.execution.symmetric import FleetNode
 from repro.machine.presets import JLSE_HOST, MIC_7120A
 
 N = 100_000
@@ -17,7 +17,7 @@ TRUE_ALPHA = 0.62
 
 @pytest.fixture(scope="module")
 def node():
-    return SymmetricNode(JLSE_HOST, [MIC_7120A, MIC_7120A], "hm-large")
+    return FleetNode([MIC_7120A, MIC_7120A, JLSE_HOST], "hm-large")
 
 
 def test_equal_split_rate(benchmark, node):
@@ -47,7 +47,7 @@ def test_adaptive_recovers(benchmark, node):
 
     def converge():
         ctrl = AdaptiveAlphaController(p_mic=2, p_cpu=1, smoothing=0.6)
-        cpu_rate = SymmetricNode(JLSE_HOST, [], "hm-large").calculation_rate(N)
+        cpu_rate = FleetNode([JLSE_HOST], "hm-large").calculation_rate(N)
         from repro.execution.native import NativeModel
 
         mic_rate = NativeModel(MIC_7120A, "hm-large").calculation_rate(N)

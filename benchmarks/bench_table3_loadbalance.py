@@ -3,7 +3,7 @@
 import pytest
 
 from repro.execution.loadbalance import alpha_split
-from repro.execution.symmetric import SymmetricNode
+from repro.execution.symmetric import FleetNode
 from repro.machine.presets import JLSE_HOST, MIC_7120A
 
 N = 100_000
@@ -11,7 +11,7 @@ N = 100_000
 
 @pytest.fixture(scope="module")
 def node2():
-    return SymmetricNode(JLSE_HOST, [MIC_7120A, MIC_7120A], "hm-large")
+    return FleetNode([MIC_7120A, MIC_7120A, JLSE_HOST], "hm-large")
 
 
 def test_rate_evaluation(benchmark, node2):
@@ -26,8 +26,8 @@ def test_eq3_split(benchmark):
 
 def test_table3_rows(node2):
     """The full Table III shape: balanced beats equal; ~4x over CPU-only."""
-    cpu = SymmetricNode(JLSE_HOST, [], "hm-large")
-    one = SymmetricNode(JLSE_HOST, [MIC_7120A], "hm-large")
+    cpu = FleetNode([JLSE_HOST], "hm-large")
+    one = FleetNode([MIC_7120A, JLSE_HOST], "hm-large")
     r_cpu = cpu.calculation_rate(N)
     r1_eq = one.calculation_rate(N, "equal")
     r1_lb = one.calculation_rate(N, "alpha", 0.62)

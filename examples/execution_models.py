@@ -15,7 +15,7 @@ Run:  python examples/execution_models.py
 from repro.execution.loadbalance import AdaptiveAlphaController, alpha_split
 from repro.execution.native import NativeModel, alpha
 from repro.execution.offload import OffloadCostModel
-from repro.execution.symmetric import SymmetricNode
+from repro.execution.symmetric import FleetNode
 from repro.machine.presets import JLSE_HOST, MIC_7120A, PCIE_GEN2_X16
 
 
@@ -47,8 +47,8 @@ def main() -> None:
 
     print("\n=== Symmetric mode (MPI ranks on host + MICs) ===")
     n = 100_000
-    node1 = SymmetricNode(JLSE_HOST, [MIC_7120A], "hm-large")
-    node2 = SymmetricNode(JLSE_HOST, [MIC_7120A, MIC_7120A], "hm-large")
+    node1 = FleetNode([MIC_7120A, JLSE_HOST], "hm-large")
+    node2 = FleetNode([MIC_7120A, MIC_7120A, JLSE_HOST], "hm-large")
     n_mic, n_cpu = alpha_split(n, 1, 1, 0.62)
     print(f"  Eq. 3 split for {n:,} particles at alpha=0.62: "
           f"MIC {n_mic:,}, CPU {n_cpu:,}")

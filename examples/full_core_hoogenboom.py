@@ -13,7 +13,7 @@ import numpy as np
 
 from repro import LibraryConfig, Settings, Simulation, build_library
 from repro.execution.native import NativeModel
-from repro.execution.symmetric import SymmetricNode
+from repro.execution.symmetric import FleetNode
 from repro.geometry.hoogenboom import FastCoreGeometry, build_hm_geometry
 from repro.machine.kernels import WorkPerParticle
 from repro.machine.presets import JLSE_HOST, MIC_7120A
@@ -57,7 +57,7 @@ def main() -> None:
         ("Xeon Phi 7120a (native)", NativeModel(MIC_7120A, "hm-large")),
     ):
         print(f"  {label:28s}: {model.calculation_rate(100_000):8,.0f} n/s")
-    node = SymmetricNode(JLSE_HOST, [MIC_7120A, MIC_7120A], "hm-large")
+    node = FleetNode([MIC_7120A, MIC_7120A, JLSE_HOST], "hm-large")
     print(
         f"  {'CPU + 2 MIC (balanced)':28s}: "
         f"{node.calculation_rate(100_000, 'alpha', 0.62):8,.0f} n/s "

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass, field
 
 from ..errors import ChaosError
-from ..rng.lcg import RandomStream
+from ..resilience.faults import sample_schedule
 
 __all__ = ["ChaosEvent", "ChaosKind", "ChaosSchedule"]
 
@@ -83,15 +83,6 @@ class ChaosSchedule:
         the shape arguments — rerunning with the same seed replays the
         exact same failures in the exact same order.
         """
-        for name, p in (
-            ("p_gateway_kill", p_gateway_kill),
-            ("p_shard_kill", p_shard_kill),
-            ("p_disk_corrupt", p_disk_corrupt),
-            ("p_disk_truncate", p_disk_truncate),
-            ("p_spool_partial", p_spool_partial),
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise ChaosError(f"{name} must be in [0, 1], got {p}")
         if n_boundaries < 0:
             raise ChaosError(
                 f"need n_boundaries >= 0, got {n_boundaries}"
@@ -100,40 +91,22 @@ class ChaosSchedule:
             # A shard kill needs a survivor to quarantine around, and
             # the single-shard gateway never quarantines its last shard.
             raise ChaosError(f"need n_shards >= 2, got {n_shards}")
-        stream = RandomStream(seed=seed)
-        events: list[ChaosEvent] = []
-        for boundary in range(1, n_boundaries + 1):
-            if stream.prn() < p_gateway_kill:
-                events.append(
-                    ChaosEvent(ChaosKind.GATEWAY_KILL, boundary)
-                )
-            if stream.prn() < p_shard_kill:
-                victim = int(stream.prn() * n_shards)
-                events.append(
-                    ChaosEvent(
-                        ChaosKind.SHARD_KILL, boundary, shard=victim
-                    )
-                )
-            if stream.prn() < p_disk_corrupt:
-                events.append(
-                    ChaosEvent(
-                        ChaosKind.DISK_CORRUPT,
-                        boundary,
-                        entry=int(stream.prn() * n_boundaries),
-                    )
-                )
-            if stream.prn() < p_disk_truncate:
-                events.append(
-                    ChaosEvent(
-                        ChaosKind.DISK_TRUNCATE,
-                        boundary,
-                        entry=int(stream.prn() * n_boundaries),
-                    )
-                )
-            if stream.prn() < p_spool_partial:
-                events.append(
-                    ChaosEvent(ChaosKind.SPOOL_PARTIAL, boundary)
-                )
+        fired = sample_schedule(seed, range(1, n_boundaries + 1), (
+            (ChaosKind.GATEWAY_KILL, p_gateway_kill, False),
+            (ChaosKind.SHARD_KILL, p_shard_kill, True),
+            (ChaosKind.DISK_CORRUPT, p_disk_corrupt, True),
+            (ChaosKind.DISK_TRUNCATE, p_disk_truncate, True),
+            (ChaosKind.SPOOL_PARTIAL, p_spool_partial, False),
+        ), ChaosError)
+        events = []
+        for boundary, kind, u in fired:
+            if kind is ChaosKind.SHARD_KILL:
+                event = ChaosEvent(kind, boundary, shard=int(u * n_shards))
+            elif u is not None:
+                event = ChaosEvent(kind, boundary, entry=int(u * n_boundaries))
+            else:
+                event = ChaosEvent(kind, boundary)
+            events.append(event)
         return cls(seed=seed, events=tuple(events))
 
     @classmethod

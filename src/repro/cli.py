@@ -19,11 +19,10 @@ Subcommands::
     repro-sim chaos run --sweep                # kill at every boundary
     repro-sim chaos run --seed 42 --json       # seeded fault schedule
 
-The bare legacy form (``repro-sim --pincell ...``) still works and is
-equivalent to ``repro-sim run ...``.  ``resume`` must be given the same
-physics flags as the original run — checkpoints carry a settings
-fingerprint and refuse to resume under different physics (the
-bit-identical-resume guarantee would silently break otherwise).
+``resume`` must be given the same physics flags as the original run —
+checkpoints carry a settings fingerprint and refuse to resume under
+different physics (the bit-identical-resume guarantee would silently
+break otherwise).
 
 ``scenario`` and ``suite`` drive the declarative layer
 (:mod:`repro.scenarios`): ``scenario validate|compile|run`` check, lower,
@@ -86,9 +85,6 @@ from .resilience.recovery import RetryPolicy
 from .transport import Settings, Simulation, available_backends
 
 __all__ = ["main"]
-
-_SUBCOMMANDS = ("run", "checkpoint", "resume", "serve", "submit", "status",
-                "scenario", "suite", "gateway", "fleet", "chaos")
 
 
 def _backend_name(value: str) -> str:
@@ -477,9 +473,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     sim = Simulation(library, settings)
 
     supervisor = None
-    if getattr(args, "supervise", False) or (
-        getattr(args, "batch_deadline_s", None) is not None
-    ):
+    if args.supervise or args.batch_deadline_s is not None:
         from .supervise import SupervisionPolicy, Supervisor
 
         supervisor = Supervisor(
@@ -1204,30 +1198,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Legacy flat form: "repro-sim --pincell ..." means "run".
-    if not argv or (argv[0] not in _SUBCOMMANDS
-                    and argv[0] not in ("-h", "--help")):
-        argv = ["run", *argv]
     args = build_parser().parse_args(argv)
-
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "status":
-        return _cmd_status(args)
-    if args.command == "scenario":
-        return _cmd_scenario(args)
-    if args.command == "suite":
-        return _cmd_suite(args)
-    if args.command == "gateway":
-        return _cmd_gateway(args)
-    if args.command == "fleet":
-        return _cmd_fleet(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    return _cmd_run(args)
+    commands = {
+        "submit": _cmd_submit, "serve": _cmd_serve, "status": _cmd_status,
+        "scenario": _cmd_scenario, "suite": _cmd_suite,
+        "gateway": _cmd_gateway, "fleet": _cmd_fleet, "chaos": _cmd_chaos,
+    }
+    # run / checkpoint / resume share one driver.
+    return commands.get(args.command, _cmd_run)(args)
 
 
 if __name__ == "__main__":

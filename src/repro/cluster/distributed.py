@@ -26,15 +26,16 @@ backoff, re-shipped source sites, and a shrunken communicator).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 
 import numpy as np
 
 from ..data.library import NuclideLibrary
 from ..errors import ClusterError
 from ..execution.context import ExecutionContext
+from ..execution.loadbalance import equal_assignments, equal_split
+from ..execution.symmetric import run_split
 from ..resilience.faults import FaultPlan
-from ..resilience.recovery import RetryPolicy, redistribute_slice
+from ..resilience.recovery import RetryPolicy
 from ..transport.simulation import Settings, Simulation
 from ..transport.tally import BatchStatistics, GlobalTallies
 from .simcomm import FabricModel, SimulatedComm
@@ -92,7 +93,6 @@ class DistributedSimulation:
         # A supervisor with a communication budget meters every collective.
         budget = getattr(supervisor, "comm_budget", None)
         self.comm = SimulatedComm(n_ranks, fabric, budget=budget)
-        self.fault_plan = fault_plan
         self.retry_policy = retry_policy or RetryPolicy()
         # One Simulation provides source sampling and a shared context
         # (read-only nuclear data and geometry are node-replicated in the
@@ -106,27 +106,14 @@ class DistributedSimulation:
             backend=settings.mode,
             fault_plan=fault_plan,
             retry_policy=self.retry_policy,
+            supervisor=supervisor,
         )
-
-    def _rank_slices(self, n: int, n_ranks: int | None = None) -> list[slice]:
-        """Contiguous particle slices per rank (OpenMC's static split)."""
-        k = self.n_ranks if n_ranks is None else n_ranks
-        base = n // k
-        rem = n % k
-        slices = []
-        start = 0
-        for r in range(k):
-            count = base + (1 if r < rem else 0)
-            slices.append(slice(start, start + count))
-            start += count
-        return slices
 
     def run(self) -> DistributedResult:
         s = self.settings
         ec = self._ec
         stats = BatchStatistics(n_inactive=s.n_inactive)
         positions, energies = self._driver.initial_source(s.n_particles)
-        initial_slices = self._rank_slices(s.n_particles)
 
         alive = list(range(self.n_ranks))
         failed_ranks: list[int] = []
@@ -135,91 +122,39 @@ class DistributedSimulation:
         supervisor = self.supervisor
         id_offset = 0
         for batch_idx in range(s.n_inactive + s.n_active):
-            if supervisor is not None:
-                supervisor.begin_batch()
-            k_norm = stats.running_k()
-            slices = self._rank_slices(s.n_particles, len(alive))
-            crashed = (
-                self.fault_plan.crashed_rank(batch_idx)
-                if self.fault_plan is not None
-                else None
+            ec.begin_batch()
+            assignments = equal_assignments(s.n_particles, alive)
+            crashed = ec.crashed_rank(batch_idx, alive)
+            # Runs come back in ascending global start (the serial bank
+            # ordering), a crashed rank's slice re-run by the survivors.
+            runs = run_split(
+                ec, assignments, alive, crashed, batch_idx,
+                positions, energies, stats.running_k(), id_offset,
             )
-            if crashed is not None and crashed not in alive:
-                crashed = None  # victim already dead (or out of range)
-
-            # Each executed unit is (global_start, tallies, bank, owner_rank);
-            # ascending global_start reproduces the serial bank ordering.
-            units: list[tuple[int, GlobalTallies, object, int]] = []
-            dead_slice: slice | None = None
-            for i, rank in enumerate(alive):
-                sl = slices[i]
-                if rank == crashed:
-                    # The rank dies mid-generation: its batch work is lost
-                    # before it reaches any collective.
-                    dead_slice = sl
-                    continue
-                tallies = ec.new_tallies()
-                t0 = perf_counter()
-                bank = ec.run_generation(
-                    positions[sl],
-                    energies[sl],
-                    tallies,
-                    k_norm=k_norm,
-                    first_id=id_offset + sl.start,
-                )
-                if supervisor is not None:
-                    supervisor.observe_batch(
-                        rank, batch_idx, perf_counter() - t0,
-                        sl.stop - sl.start,
-                    )
-                units.append((sl.start, tallies, bank, rank))
-
             if crashed is not None:
-                survivors = [r for r in alive if r != crashed]
-                if supervisor is not None:
-                    # DegradedRunError at the policy floor, typed eviction
-                    # event otherwise.
-                    survivors = supervisor.evict(
-                        crashed, batch=batch_idx, reason="crash"
-                    )
-                if not survivors:
-                    raise ClusterError(
-                        f"rank {crashed} crashed and no survivors remain"
-                    )
-                # Failure is detected after the stall timeout; survivors
-                # re-run the lost slice, keyed by the same global ids.
+                # Failure is detected after the stall timeout, then the
+                # dead slice's source sites (pos + energy) are re-shipped.
                 policy = self.retry_policy
                 recovery_time += policy.stall_timeout_s + policy.delay_s(1)
                 if supervisor is not None:
                     supervisor.note_retry()
-                # Re-ship the dead slice's source sites (pos + energy).
-                n_lost = dead_slice.stop - dead_slice.start
+                n_lost = sum(
+                    sl.stop - sl.start for r, sl in assignments if r == crashed
+                )
                 recovery_time += self.comm.fabric.message_time(n_lost * 32.0)
-                for host, sub in redistribute_slice(dead_slice, survivors):
-                    tallies = ec.new_tallies()
-                    bank = ec.run_generation(
-                        positions[sub],
-                        energies[sub],
-                        tallies,
-                        k_norm=k_norm,
-                        first_id=id_offset + sub.start,
-                    )
-                    units.append((sub.start, tallies, bank, host))
-                alive = survivors
+                alive = [r for r in alive if r != crashed]
                 failed_ranks.append(crashed)
                 self.comm = self.comm.shrink(len(alive))
             id_offset += s.n_particles
-
-            units.sort(key=lambda u: u[0])
 
             # Global tally reduction (what symmetric mode reduces per batch):
             # one buffer per surviving rank, recovered sub-slices folded into
             # their host rank's contribution.
             per_rank = {rank: GlobalTallies() for rank in alive}
             bank_counts = {rank: 0 for rank in alive}
-            for _, tallies, bank, rank in units:
-                per_rank[rank].merge_from(tallies)
-                bank_counts[rank] += len(bank)
+            for run in runs:
+                per_rank[run.rank].merge_from(run.tallies)
+                bank_counts[run.rank] += len(run.bank)
             reduced, _ = self.comm.allreduce_sum(
                 [per_rank[rank].as_array() for rank in alive]
             )
@@ -228,7 +163,7 @@ class DistributedSimulation:
             # Global bank merge: sites carry global parent ids, so the
             # canonical (parent, seq) ordering reproduces the serial run's
             # bank regardless of which rank produced which slice.
-            merged = ec.merge_banks([u[2] for u in units])
+            merged = ec.merge_banks([run.bank for run in runs])
             stats.record(
                 global_tallies,
                 self._driver.mesh.entropy(
@@ -259,9 +194,7 @@ class DistributedSimulation:
             statistics=stats,
             n_ranks=self.n_ranks,
             comm_time=self.comm.comm_time,
-            per_rank_particles=[
-                sl.stop - sl.start for sl in initial_slices
-            ],
+            per_rank_particles=equal_split(s.n_particles, self.n_ranks),
             recovery_time=recovery_time,
             failed_ranks=failed_ranks,
             surviving_ranks=len(alive),

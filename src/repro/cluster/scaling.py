@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ClusterError
-from ..execution.symmetric import SymmetricNode
+from ..execution.symmetric import FleetNode
 from ..machine.kernels import WorkPerParticle
 from .simcomm import SimulatedComm
 from .topology import ClusterTopology
@@ -51,20 +51,16 @@ def _node_for(
     mics_per_node: int,
     model: str,
     work: WorkPerParticle | None,
-) -> SymmetricNode:
-    devices = topology.node(mics_per_node).devices
-    return SymmetricNode(devices[-1], devices[:-1], model, work)
+) -> FleetNode:
+    return FleetNode(topology.node(mics_per_node).devices, model, work)
 
 
 def _batch_time(
-    node: SymmetricNode,
-    comm: SimulatedComm,
-    n_node: int,
-    alpha: float | None,
-    mics_per_node: int,
+    node: FleetNode, comm: SimulatedComm, n_node: int, alpha: float | None
 ) -> tuple[float, float]:
-    """Per-batch node time + cluster communication time."""
-    strategy = "alpha" if (alpha is not None and mics_per_node > 0) else "equal"
+    """Per-batch node time + cluster communication time (on a CPU-only
+    node the alpha split is the equal one)."""
+    strategy = "alpha" if alpha is not None else "equal"
     t_compute = node.batch_time(n_node, strategy, alpha)
     # Tally allreduce + fission-bank exchange with ~5% imbalance.
     tallies = [np.zeros(TALLY_REDUCE_BYTES // 8) for _ in range(comm.n_ranks)]
@@ -101,7 +97,7 @@ def strong_scaling(
             continue
         n_node = n_total // p
         comm = SimulatedComm(p, topology.fabric)
-        t_compute, t_comm = _batch_time(node, comm, n_node, alpha, mics_per_node)
+        t_compute, t_comm = _batch_time(node, comm, n_node, alpha)
         t = t_compute + t_comm
         if ref_time_x_nodes is None:
             ref_time_x_nodes = t * p
@@ -143,9 +139,7 @@ def weak_scaling(
         if p > limit:
             continue
         comm = SimulatedComm(p, topology.fabric)
-        t_compute, t_comm = _batch_time(
-            node, comm, n_per_node, alpha, mics_per_node
-        )
+        t_compute, t_comm = _batch_time(node, comm, n_per_node, alpha)
         t = t_compute + t_comm
         if ref_time is None:
             ref_time = t

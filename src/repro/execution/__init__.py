@@ -17,7 +17,7 @@ from .loadbalance import (
 from .native import ACTIVE_TALLY_SURCHARGE, NativeModel, NativeScheduler, alpha
 from .offload import OFFLOAD_FIXED_S, OffloadCostModel, OffloadScheduler
 from .rebalance import StealEvent, WorkStealingRebalancer
-from .symmetric import NODE_SYNC_S, FleetNode, SymmetricNode, SymmetricScheduler
+from .symmetric import NODE_SYNC_S, FleetNode, SymmetricScheduler
 from .trace import OffloadTrace, trace_offload
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "OffloadCostModel",
     "OffloadScheduler",
     "NODE_SYNC_S",
-    "SymmetricNode",
     "SymmetricScheduler",
     "OffloadTrace",
     "trace_offload",

@@ -56,15 +56,15 @@ class ExecutionContext:
         default_factory=lambda: TimerRegistry("execution")
     )
     #: Machine cost model for the active execution model (NativeModel,
-    #: OffloadCostModel, SymmetricNode) — pricing only, never control flow.
+    #: OffloadCostModel, FleetNode) — pricing only, never control flow.
     cost_model: object | None = None
     fault_plan: FaultPlan | None = None
     retry_policy: RetryPolicy | None = None
     #: When present, every generation records per-dispatch stage counts.
     stats: TransportStats | None = None
     #: In-flight watchdog (:class:`repro.supervise.Supervisor`).  Schedulers
-    #: feed it per-rank batch observations and honour its evictions; ``None``
-    #: means unsupervised (the historical behaviour, zero overhead).
+    #: feed it per-rank batch observations and honour its evictions through
+    #: the hooks below; ``None`` means unsupervised (every hook a no-op).
     supervisor: object | None = None
     #: Work-stealing rebalancer
     #: (:class:`repro.execution.rebalance.WorkStealingRebalancer`).  Only
@@ -150,24 +150,41 @@ class ExecutionContext:
                 spectrum=spectrum,
             )
 
+    # -- Supervision and fault hooks (no-ops without a supervisor / plan) ------
+
+    def begin_batch(self) -> "int | None":
+        """Advance the supervisor's batch counter; ``None`` unsupervised."""
+        if self.supervisor is None:
+            return None
+        return self.supervisor.begin_batch()
+
+    def crashed_rank(self, batch: "int | None", alive) -> "int | None":
+        """The rank of ``alive`` the plan crashes in ``batch``, if any."""
+        if self.fault_plan is None:
+            return None
+        victim = self.fault_plan.crashed_rank(batch)
+        return victim if victim in alive else None
+
+    def observe_ranks(self, batch: "int | None", per_rank: dict) -> None:
+        """Feed ``{rank: (seconds, particles)}`` to the health monitor."""
+        if self.supervisor is not None:
+            for rank in sorted(per_rank):
+                self.supervisor.observe_batch(rank, batch, *per_rank[rank])
+
+    def end_batch(self, batch: "int | None", seconds: float, what: str) -> None:
+        """Enforce the batch deadline, then evict chronic stragglers for
+        the batches that follow."""
+        if self.supervisor is not None:
+            self.supervisor.enforce_deadline(
+                seconds, what=f"{what} batch {batch}"
+            )
+            self.supervisor.finish_batch(batch)
+
     # -- Reduction primitives -----------------------------------------------------
 
     def new_tallies(self) -> GlobalTallies:
         """A fresh per-rank/per-slice tally buffer."""
         return GlobalTallies()
-
-    def new_bank(self) -> FissionBank:
-        """A fresh fission bank to absorb per-rank banks into."""
-        return FissionBank()
-
-    def merge_tallies(
-        self, target: GlobalTallies, parts: "list[GlobalTallies]"
-    ) -> GlobalTallies:
-        """Accumulate partial tallies into ``target`` in the given (rank)
-        order and return it."""
-        for part in parts:
-            target.merge_from(part)
-        return target
 
     def merge_banks(self, banks: "list[FissionBank]") -> FissionBank:
         """Merge per-rank banks; the canonical ``(parent, seq)`` ordering

@@ -39,6 +39,7 @@ from ..errors import ExecutionError
 __all__ = [
     "alpha_split",
     "alpha_split_counts",
+    "equal_assignments",
     "equal_split",
     "fleet_split",
     "AdaptiveAlphaController",
@@ -53,6 +54,19 @@ def equal_split(n_total: int, p: int) -> list[int]:
     base = n_total // p
     rem = n_total % p
     return [base + (1 if r < rem else 0) for r in range(p)]
+
+
+def equal_assignments(
+    n_total: int, ranks: Sequence[int]
+) -> list[tuple[int, slice]]:
+    """The equal split as contiguous ``(rank, slice)`` pairs over ``ranks``
+    in order — the static plan of every rank-split driver."""
+    assignments = []
+    start = 0
+    for rank, count in zip(ranks, equal_split(n_total, len(ranks))):
+        assignments.append((rank, slice(start, start + count)))
+        start += count
+    return assignments
 
 
 def alpha_split(
@@ -99,15 +113,11 @@ def alpha_split_counts(
     ``p_cpu == 0``) fall back to :func:`equal_split` of the live class.
     Returns ``(mic_counts, cpu_counts)``.
     """
-    if p_mic < 0 or p_cpu < 0 or p_mic + p_cpu == 0:
-        raise ExecutionError("invalid rank counts")
-    if alpha <= 0:
-        raise ExecutionError("alpha must be positive")
+    _, n_cpu = alpha_split(n_total, p_mic, p_cpu, alpha)  # validates
     if p_mic == 0:
         return [], equal_split(n_total, p_cpu)
     if p_cpu == 0:
         return equal_split(n_total, p_mic), []
-    _, n_cpu = alpha_split(n_total, p_mic, p_cpu, alpha)
     return equal_split(n_total - p_cpu * n_cpu, p_mic), [n_cpu] * p_cpu
 
 

@@ -10,6 +10,7 @@ Fig. 4's CPU-vs-MIC comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import TYPE_CHECKING
 
 from ..machine.kernels import TransportCostModel, WorkPerParticle
@@ -77,17 +78,14 @@ class NativeModel:
         return self._cost.lookup_fraction()
 
 
-@dataclass
 class NativeScheduler:
     """Native-mode scheduler: the whole generation runs on one device.
 
     The thinnest possible schedule — one backend call through the
-    :class:`~repro.execution.context.ExecutionContext` — with the optional
-    :class:`NativeModel` attached purely to *price* what was run.  No
-    transport imports: the backend arrives inside the context.
+    :class:`~repro.execution.context.ExecutionContext`, observed as rank 0
+    through the context's supervision hooks.  No transport imports: the
+    backend arrives inside the context.
     """
-
-    model: NativeModel | None = None
 
     def run_generation(
         self,
@@ -102,38 +100,18 @@ class NativeScheduler:
     ):
         """Transport one generation on the single device.
 
-        With a supervisor on the context, the generation is observed as
-        rank 0 (there is only the one device) and checked against the
-        policy's batch deadline — native mode has nothing to degrade *to*,
-        so supervision here is monitoring plus a typed abort."""
-        supervisor = getattr(ec, "supervisor", None)
-        if supervisor is None:
-            return ec.run_generation(
-                positions, energies, tallies, k_norm, first_id,
-                power=power, spectrum=spectrum,
-            )
-        from time import perf_counter
-
-        batch = supervisor.begin_batch()
+        Native mode has nothing to degrade *to*, so supervision here is
+        monitoring plus the batch deadline's typed abort."""
+        batch = ec.begin_batch()
         t0 = perf_counter()
         bank = ec.run_generation(
             positions, energies, tallies, k_norm, first_id,
             power=power, spectrum=spectrum,
         )
         seconds = perf_counter() - t0
-        supervisor.observe_batch(0, batch, seconds, positions.shape[0])
-        supervisor.enforce_deadline(seconds, what=f"native batch {batch}")
-        supervisor.finish_batch(batch)
+        ec.observe_ranks(batch, {0: (seconds, positions.shape[0])})
+        ec.end_batch(batch, seconds, "native")
         return bank
-
-    def modelled_batch_time(
-        self, n_particles: int, active: bool = False
-    ) -> float | None:
-        """Cost-model batch time for what was just executed (None without
-        a model)."""
-        if self.model is None:
-            return None
-        return self.model.batch_time(n_particles, active)
 
 
 def alpha(

@@ -301,9 +301,8 @@ class OffloadScheduler:
         )
         if ec.stats is not None:
             ec.stats.record_retries(attempts - 1)
-        supervisor = getattr(ec, "supervisor", None)
-        if supervisor is not None:
-            supervisor.note_retry(attempts - 1)
+        if ec.supervisor is not None:
+            ec.supervisor.note_retry(attempts - 1)
         return bank
 
     def priced_trace(self, ec: "ExecutionContext"):

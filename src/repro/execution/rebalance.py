@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from ..errors import ExecutionError
 from ..resilience.recovery import redistribute_slice
-from .loadbalance import equal_split, fleet_split
+from .loadbalance import equal_assignments, fleet_split
 
 __all__ = ["StealEvent", "WorkStealingRebalancer"]
 
@@ -94,24 +94,15 @@ class WorkStealingRebalancer:
         """
         if not alive:
             raise ExecutionError("no alive ranks to plan over")
-        base = equal_split(n, len(alive))
-        starts: list[int] = []
-        pos = 0
-        for count in base:
-            starts.append(pos)
-            pos += count
+        static = equal_assignments(n, alive)
         if rates is None:
-            return [
-                (rank, slice(start, start + count))
-                for rank, start, count in zip(alive, starts, base)
-            ]
+            return static
+        base = [sl.stop - sl.start for _, sl in static]
+        starts = [sl.start for _, sl in static]
         targets = fleet_split(n, list(rates))
         moved = sum(max(b - t, 0) for b, t in zip(base, targets))
         if moved == 0 or moved < self.min_move_fraction * n:
-            return [
-                (rank, slice(start, start + count))
-                for rank, start, count in zip(alive, starts, base)
-            ]
+            return static
         assignments: list[tuple[int, slice]] = []
         released: list[tuple[int, slice]] = []
         deficits = [max(t - b, 0) for b, t in zip(base, targets)]
@@ -123,12 +114,10 @@ class WorkStealingRebalancer:
                 released.append(
                     (rank, slice(starts[i] + keep, starts[i] + base[i]))
                 )
-        receivers = [
-            alive[i] for i in range(len(alive)) if deficits[i] > 0
-        ]
         remaining = {
-            alive[i]: deficits[i] for i in range(len(alive)) if deficits[i] > 0
+            rank: deficit for rank, deficit in zip(alive, deficits) if deficit
         }
+        receivers = list(remaining)
         for donor, sl in released:
             weights = [float(remaining[r]) for r in receivers]
             if sum(weights) <= 0:

@@ -5,28 +5,29 @@ fleet.  The batch barrier means the node's batch time is the *maximum*
 over its ranks — the load-imbalance mechanism behind Table III's
 "Original" column — plus a per-batch synchronization/reduction cost.
 
-:class:`FleetNode` is the general form (N heterogeneous devices, equal /
-rate-proportional / explicit-weight splits); :class:`SymmetricNode` keeps
-the paper's host+MICs view on top of it (Eq. 3's two-class alpha split,
-bit-identical to the pre-fleet implementation).  This model produces
-Table III directly and is the per-node building block of the
-cluster-scaling experiments (Figs. 6-7).
+:class:`FleetNode` prices N heterogeneous devices under the equal /
+rate-proportional / explicit-weight / Eq. 3 alpha splits: Table III
+directly, and the per-node building block of the cluster-scaling
+experiments (Figs. 6-7).  :func:`run_split` is the one place a generation
+is split over ranks and run: the :class:`SymmetricScheduler` and the
+cluster driver (:mod:`repro.cluster.distributed`) both plan ``(rank,
+slice)`` assignments, hand them to it, and merge what it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from ..errors import ExecutionError
+from ..errors import ClusterError, ExecutionError
 from ..machine.kernels import TransportCostModel, WorkPerParticle
 from ..machine.memory import library_nuclides
 from ..machine.spec import DeviceSpec
 from ..resilience.recovery import redistribute_slice
 from .loadbalance import (
-    AdaptiveAlphaController,
     alpha_split_counts,
+    equal_assignments,
     equal_split,
     fleet_split,
 )
@@ -34,7 +35,7 @@ from .loadbalance import (
 if TYPE_CHECKING:
     from .context import ExecutionContext
 
-__all__ = ["FleetNode", "SymmetricNode", "SymmetricScheduler"]
+__all__ = ["FleetNode", "SliceRun", "SymmetricScheduler", "run_split"]
 
 #: Per-batch synchronization + tally-reduction cost within a node [s].
 NODE_SYNC_S = 0.1
@@ -48,7 +49,9 @@ class FleetNode:
     Split strategies: ``"equal"`` (OpenMC default), ``"rate"``
     (rate-proportional :func:`~repro.execution.loadbalance.fleet_split`
     over each device's modelled rate at its equal share — Eq. 3
-    generalized), or ``"weights"`` (explicit rate weights).
+    generalized), ``"weights"`` (explicit rate weights), or ``"alpha"``
+    (the paper's Eq. 3 two-class split: the last device is the host,
+    every device before it a MIC; requires ``alpha``).
     """
 
     devices: list[DeviceSpec]
@@ -77,10 +80,10 @@ class FleetNode:
         per = max(n_particles // self.n_ranks, 1)
         return [cost.calculation_rate(per) for cost in self._costs]
 
-    def _counts(
+    def fleet_counts(
         self,
         n_particles: int,
-        strategy: str,
+        strategy: str = "equal",
         alpha: float | None = None,
         weights: "list[float] | None" = None,
     ) -> list[int]:
@@ -93,17 +96,14 @@ class FleetNode:
             if weights is None:
                 raise ExecutionError("weights strategy requires weights")
             return fleet_split(n_particles, weights)
+        if strategy == "alpha":
+            if alpha is None:
+                raise ExecutionError("alpha strategy requires alpha")
+            mic_counts, host_counts = alpha_split_counts(
+                n_particles, self.n_ranks - 1, 1, alpha
+            )
+            return [*mic_counts, *host_counts]
         raise ExecutionError(f"unknown split strategy {strategy!r}")
-
-    def fleet_counts(
-        self,
-        n_particles: int,
-        strategy: str = "equal",
-        alpha: float | None = None,
-        weights: "list[float] | None" = None,
-    ) -> list[int]:
-        """Public per-rank assignment in fleet order."""
-        return self._counts(n_particles, strategy, alpha, weights)
 
     # -- Timing ---------------------------------------------------------------------
 
@@ -115,7 +115,7 @@ class FleetNode:
         weights: "list[float] | None" = None,
     ) -> float:
         """Node batch time: barrier max over ranks, plus node sync."""
-        counts = self._counts(n_particles, strategy, alpha, weights)
+        counts = self.fleet_counts(n_particles, strategy, alpha, weights)
         times = [
             cost.batch_time(count)
             for cost, count in zip(self._costs, counts)
@@ -142,63 +142,77 @@ class FleetNode:
         return sum(cost.calculation_rate(per) for cost in self._costs)
 
 
-class SymmetricNode(FleetNode):
-    """The paper's host+MICs node as a two-class view of a fleet.
+class SliceRun(NamedTuple):
+    """One executed ``(rank, slice)`` unit of a split generation."""
 
-    ``mics`` may be empty (CPU-only node), hold one MIC (most Stampede
-    nodes) or two (JLSE and 384 Stampede nodes).  Fleet rank order is
-    ``[*mics, host]`` — MIC ranks first, host last, matching the
-    historical split shapes.
+    rank: int
+    slice: slice
+    tallies: object
+    bank: object
+    seconds: float
+
+
+def run_split(
+    ec: "ExecutionContext",
+    assignments: "Sequence[tuple[int, slice]]",
+    alive: "Sequence[int]",
+    victim: "int | None",
+    batch: "int | None",
+    positions,
+    energies,
+    k_norm: float = 1.0,
+    first_id: int = 0,
+    power=None,
+    spectrum=None,
+) -> list[SliceRun]:
+    """Run one generation split into ``(rank, slice)`` assignments.
+
+    ``victim`` (:meth:`ExecutionContext.crashed_rank`) dies mid-generation:
+    it is evicted from ``alive`` — through the supervisor when there is
+    one, so the policy floor applies — and its slices are redistributed
+    over the survivors.  Every non-empty slice then runs on fresh tallies,
+    in ascending global start, so the reduction order is deterministic.
+    Each slice keeps its *global* first id: whichever rank transports it,
+    the histories are the unsplit run's, and merged banks and work counters
+    stay bit-identical to it.  Per-rank ``(seconds, particles)`` totals go
+    to the supervisor; the caller merges the runs and closes the batch.
     """
-
-    def __init__(
-        self,
-        host: DeviceSpec,
-        mics: list[DeviceSpec],
-        model: str,
-        work: WorkPerParticle | None = None,
-    ) -> None:
-        self.host = host
-        self.mics = list(mics)
-        super().__init__([*self.mics, host], model, work)
-
-    @property
-    def _host_cost(self) -> TransportCostModel:
-        return self._costs[-1]
-
-    @property
-    def _mic_costs(self) -> list[TransportCostModel]:
-        return self._costs[:-1]
-
-    # -- Assignments ----------------------------------------------------------------
-
-    def split(
-        self, n_particles: int, strategy: str, alpha: float | None = None
-    ) -> tuple[list[int], int]:
-        """Per-MIC and host particle assignments.
-
-        ``strategy`` is ``"equal"`` (OpenMC default) or ``"alpha"``
-        (Eq. 3 static balancing, requires ``alpha``).
-        Returns ``(per_mic_counts, host_count)``.
-        """
-        counts = self._counts(n_particles, strategy, alpha)
-        return counts[:-1], counts[-1]
-
-    def _counts(
-        self,
-        n_particles: int,
-        strategy: str,
-        alpha: float | None = None,
-        weights: "list[float] | None" = None,
-    ) -> list[int]:
-        if strategy == "alpha":
-            if alpha is None:
-                raise ExecutionError("alpha strategy requires alpha")
-            mic_counts, cpu_counts = alpha_split_counts(
-                n_particles, len(self.mics), 1, alpha
+    assignments = list(assignments)
+    if victim is not None:
+        if ec.supervisor is not None:
+            # DegradedRunError at the policy floor, typed event otherwise.
+            ec.supervisor.evict(victim, batch=batch, reason="crash")
+        survivors = [r for r in alive if r != victim]
+        if not survivors:
+            raise ClusterError(
+                f"rank {victim} crashed and no survivors remain"
             )
-            return [*mic_counts, cpu_counts[0]]
-        return super()._counts(n_particles, strategy, alpha, weights)
+        dead = [sl for r, sl in assignments if r == victim]
+        assignments = [(r, sl) for r, sl in assignments if r != victim]
+        for dead_slice in dead:
+            assignments.extend(redistribute_slice(dead_slice, survivors))
+    assignments.sort(key=lambda pair: pair[1].start)
+
+    runs: list[SliceRun] = []
+    per_rank: dict[int, list] = {}
+    for rank, sl in assignments:
+        count = sl.stop - sl.start
+        if count == 0:
+            continue
+        tallies = ec.new_tallies()
+        t0 = perf_counter()
+        bank = ec.run_generation(
+            positions[sl], energies[sl], tallies,
+            k_norm, first_id + sl.start,
+            power=power, spectrum=spectrum,
+        )
+        seconds = perf_counter() - t0
+        runs.append(SliceRun(rank, sl, tallies, bank, seconds))
+        acc = per_rank.setdefault(rank, [0.0, 0])
+        acc[0] += seconds
+        acc[1] += count
+    ec.observe_ranks(batch, per_rank)
+    return runs
 
 
 @dataclass
@@ -228,10 +242,6 @@ class SymmetricScheduler:
     node: FleetNode | None = None
     #: Rank count when no :class:`FleetNode` cost model is attached.
     n_ranks: int = 2
-    #: When supervised and exactly two ranks survive, the split follows the
-    #: controller's measured alpha instead of the equal split, so the load
-    #: balance re-converges after an eviction or a mid-run rate shift.
-    alpha_controller: AdaptiveAlphaController | None = None
 
     @property
     def ranks(self) -> int:
@@ -249,154 +259,31 @@ class SymmetricScheduler:
         spectrum=None,
     ):
         """Transport one generation split across the node's ranks; merge
-        per-rank tallies (in rank order) and banks into the caller's.
+        per-slice tallies (in global-start order) and banks into the
+        caller's.
 
-        With a supervisor on the context, the split covers only the alive
-        ranks, an injected rank crash triggers in-batch eviction and slice
-        redistribution, and chronic stragglers are evicted between batches
-        (see :meth:`_run_supervised`).
+        With a supervisor on the context the split covers only the alive
+        ranks, an injected rank crash is folded in by :func:`run_split`,
+        and chronic stragglers are evicted between batches; without one
+        every hook is a no-op and the split is the static one.
         """
         if self.ranks < 1:
             raise ExecutionError("symmetric scheduler needs >= 1 rank")
-        if getattr(ec, "supervisor", None) is not None:
-            return self._run_supervised(
-                ec, positions, energies, tallies, k_norm, first_id,
-                power, spectrum,
-            )
-        n = positions.shape[0]
-        merged_bank = ec.new_bank()
-        parts = []
-        start = 0
-        for count in equal_split(n, self.ranks):
-            sl = slice(start, start + count)
-            start += count
-            if count == 0:
-                continue
-            rank_tallies = ec.new_tallies()
-            bank = ec.run_generation(
-                positions[sl], energies[sl], rank_tallies,
-                k_norm, first_id + sl.start,
-                power=power, spectrum=spectrum,
-            )
-            parts.append(rank_tallies)
-            merged_bank.absorb(bank)
-        ec.merge_tallies(tallies, parts)
-        return merged_bank
-
-    # -- Supervised path ---------------------------------------------------------
-
-    def _alive_split(self, n: int, alive: list[int]) -> list[int]:
-        """Particle counts per alive rank, in ``alive`` order."""
-        if self.alpha_controller is not None and len(alive) == 2:
-            n_mic, n_cpu = self.alpha_controller.split(n)
-            return [n_mic, n_cpu]
-        return equal_split(n, len(alive))
-
-    def _plan_assignments(
-        self, ec, batch: int, n: int, alive: list[int]
-    ) -> list[tuple[int, slice]]:
-        """Per-batch ``(rank, slice)`` assignment: the work-stealing plan
-        when a rebalancer rides on the context, else the static split."""
-        rebal = getattr(ec, "rebalancer", None)
-        if rebal is not None:
-            monitor = getattr(ec.supervisor, "monitor", None)
-            rates = rebal.resolve_rates(alive, monitor)
-            return rebal.plan(batch, n, alive, rates)
-        assignments: list[tuple[int, slice]] = []
-        start = 0
-        for rank, count in zip(alive, self._alive_split(n, alive)):
-            assignments.append((rank, slice(start, start + count)))
-            start += count
-        return assignments
-
-    def _run_supervised(
-        self, ec, positions, energies, tallies, k_norm, first_id,
-        power, spectrum,
-    ):
-        """One supervised generation: split over the alive ranks, evict an
-        injected crash victim mid-batch and redistribute its global-id
-        slice over the survivors, observe per-rank rates, and evict
-        chronic stragglers for subsequent batches.
-
-        Every slice keeps its *global* first id, so the histories run are
-        exactly the fault-free run's histories regardless of which rank
-        transports them: banks and work counters stay bit-identical to a
-        fault-free run of the surviving topology.  Sub-slices are sorted
-        by global start before the merge so a given run's reduction order
-        is itself deterministic.
-        """
         sup = ec.supervisor
-        batch = sup.begin_batch()
-        alive = sup.alive
+        batch = ec.begin_batch()
+        alive = sup.alive if sup is not None else list(range(self.ranks))
         n = positions.shape[0]
-        assignments = self._plan_assignments(ec, batch, n, alive)
-        victim = (
-            ec.fault_plan.crashed_rank(batch)
-            if ec.fault_plan is not None
-            else None
+        if sup is not None and ec.rebalancer is not None:
+            rates = ec.rebalancer.resolve_rates(alive, sup.monitor)
+            assignments = ec.rebalancer.plan(batch, n, alive, rates)
+        else:
+            assignments = equal_assignments(n, alive)
+        t0 = perf_counter()
+        runs = run_split(
+            ec, assignments, alive, ec.crashed_rank(batch, alive), batch,
+            positions, energies, k_norm, first_id, power, spectrum,
         )
-        if victim is not None and victim in alive:
-            survivors = sup.evict(victim, batch=batch, reason="crash")
-            dead = [sl for r, sl in assignments if r == victim]
-            assignments = [(r, sl) for r, sl in assignments if r != victim]
-            for dead_slice in dead:
-                assignments.extend(redistribute_slice(dead_slice, survivors))
-        assignments.sort(key=lambda pair: pair[1].start)
-
-        merged_bank = ec.new_bank()
-        parts = []
-        per_rank: dict[int, list] = {}
-        batch_t0 = perf_counter()
-        for rank, sl in assignments:
-            count = sl.stop - sl.start
-            if count == 0:
-                continue
-            rank_tallies = ec.new_tallies()
-            t0 = perf_counter()
-            bank = ec.run_generation(
-                positions[sl], energies[sl], rank_tallies,
-                k_norm, first_id + sl.start,
-                power=power, spectrum=spectrum,
-            )
-            seconds = perf_counter() - t0
-            parts.append(rank_tallies)
-            merged_bank.absorb(bank)
-            acc = per_rank.setdefault(rank, [0.0, 0])
-            acc[0] += seconds
-            acc[1] += count
-        for rank in sorted(per_rank):
-            seconds, count = per_rank[rank]
-            sup.observe_batch(rank, batch, seconds, count)
-        self._refit_alpha(sup.alive, per_rank)
-        sup.enforce_deadline(
-            perf_counter() - batch_t0, what=f"symmetric batch {batch}"
-        )
-        sup.finish_batch(batch)
-        ec.merge_tallies(tallies, parts)
-        return merged_bank
-
-    def _refit_alpha(self, alive: list[int], per_rank: dict) -> None:
-        """Feed measured per-rank rates into the alpha controller (two
-        surviving ranks only — alpha is a MIC/CPU pair ratio)."""
-        if self.alpha_controller is None or len(alive) != 2:
-            return
-        mic, cpu = alive
-        if mic not in per_rank or cpu not in per_rank:
-            return
-        mic_s, mic_n = per_rank[mic]
-        cpu_s, cpu_n = per_rank[cpu]
-        if mic_s <= 0 or cpu_s <= 0 or mic_n == 0 or cpu_n == 0:
-            return
-        self.alpha_controller.observe(cpu_n / cpu_s, mic_n / mic_s)
-
-    def modelled_batch_time(
-        self,
-        n_particles: int,
-        strategy: str = "equal",
-        alpha: float | None = None,
-    ) -> float | None:
-        """Cost-model node batch time for what was just executed (None
-        without a :class:`FleetNode`)."""
-        if self.node is None:
-            return None
-        return self.node.batch_time(n_particles, strategy, alpha)
+        ec.end_batch(batch, perf_counter() - t0, "symmetric")
+        for run in runs:
+            tallies.merge_from(run.tallies)
+        return ec.merge_banks([run.bank for run in runs])

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..cluster.topology import fleet_by_name
 from ..execution.loadbalance import AdaptiveAlphaController
 from ..execution.native import NativeModel
-from ..execution.symmetric import FleetNode, SymmetricNode
+from ..execution.symmetric import FleetNode
 from ..machine.presets import JLSE_HOST, MIC_7120A
 from .common import ExperimentResult, Scale, register
 
@@ -33,9 +33,9 @@ PAPER = {
 
 @register("table3")
 def run(scale: Scale) -> ExperimentResult:
-    cpu_only = SymmetricNode(JLSE_HOST, [], "hm-large")
-    one = SymmetricNode(JLSE_HOST, [MIC_7120A], "hm-large")
-    two = SymmetricNode(JLSE_HOST, [MIC_7120A, MIC_7120A], "hm-large")
+    cpu_only = FleetNode([JLSE_HOST], "hm-large")
+    one = FleetNode([MIC_7120A, JLSE_HOST], "hm-large")
+    two = FleetNode([MIC_7120A, MIC_7120A, JLSE_HOST], "hm-large")
     mic_native = NativeModel(MIC_7120A, "hm-large")
 
     rows = [

@@ -29,10 +29,9 @@ import threading
 
 from ..errors import GatewayError, QueueFullError
 from ..serve.jobs import JobSpec
+from ..serve.queue import RetryAfterModel
 
 __all__ = ["AdmissionController"]
-
-_MIN_RETRY_AFTER_S = 0.05
 
 
 class AdmissionController:
@@ -63,8 +62,7 @@ class AdmissionController:
         self._lock = threading.Lock()
         self._in_flight = 0
         self._per_class: dict[str, int] = {}
-        self._mean_service_s = 0.0
-        self._retry_after_s = 1.0
+        self._retry = RetryAfterModel()
 
     # -- Classing ------------------------------------------------------------
 
@@ -99,16 +97,16 @@ class AdmissionController:
             if self._in_flight >= self.capacity:
                 raise QueueFullError(
                     f"gateway at capacity ({self.capacity} jobs in "
-                    f"flight); retry in {self._retry_after_s:.2f}s",
-                    retry_after_s=self._retry_after_s,
+                    f"flight); retry in {self._retry.seconds:.2f}s",
+                    retry_after_s=self._retry.seconds,
                 )
             held = self._per_class.get(cls, 0)
             if held >= self.class_cap:
                 raise QueueFullError(
                     f"class {cls} at its fairness cap ({self.class_cap} of "
                     f"{self.capacity} slots); retry in "
-                    f"{self._retry_after_s:.2f}s",
-                    retry_after_s=self._retry_after_s,
+                    f"{self._retry.seconds:.2f}s",
+                    retry_after_s=self._retry.seconds,
                 )
             self._in_flight += 1
             self._per_class[cls] = held + 1
@@ -132,23 +130,13 @@ class AdmissionController:
 
     def note_service(self, seconds: float) -> None:
         """Fold one completion's service time into the retry-after model."""
-        if seconds <= 0:
-            return
-        alpha = 0.3
         with self._lock:
-            self._mean_service_s = (
-                seconds
-                if self._mean_service_s == 0.0
-                else alpha * seconds + (1 - alpha) * self._mean_service_s
-            )
-            self._retry_after_s = max(
-                _MIN_RETRY_AFTER_S, self._mean_service_s / self.slots
-            )
+            self._retry.note(seconds, self.slots)
 
     @property
     def retry_after_s(self) -> float:
         with self._lock:
-            return self._retry_after_s
+            return self._retry.seconds
 
     # -- Observability -------------------------------------------------------
 
@@ -164,6 +152,6 @@ class AdmissionController:
                 "in_flight": self._in_flight,
                 "class_cap": self.class_cap,
                 "per_class": dict(sorted(self._per_class.items())),
-                "retry_after_s": self._retry_after_s,
+                "retry_after_s": self._retry.seconds,
                 "slots": self.slots,
             }

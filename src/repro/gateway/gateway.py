@@ -81,6 +81,9 @@ _AGGREGATE_COUNTERS = (
 
 _IDLE_SLEEP_S = 0.005
 
+#: Consecutive poisoned jobs on one shard that trip its quarantine.
+_BREAKER_THRESHOLD = 2
+
 
 class Gateway:
     """Sharded async service tier with admission, affinity, and caching."""
@@ -94,8 +97,6 @@ class Gateway:
         max_class_share: float = 0.5,
         cache_dir: str | None = None,
         result_cache: ResultCache | None = None,
-        shard_capacity: int = 64,
-        breaker_threshold: int = 2,
         start_method: str | None = None,
         service_factory=None,
         journal_path: str | Path | None = None,
@@ -117,7 +118,6 @@ class Gateway:
                 cache_dir=(
                     str(Path(cache_dir) / f"shard-{i}") if cache_dir else None
                 ),
-                capacity=shard_capacity,
                 start_method=start_method,
                 service_factory=service_factory,
             )
@@ -135,9 +135,8 @@ class Gateway:
             result_cache if result_cache is not None else ResultCache()
         )
         self.health = HealthMonitor(list(self.shards))
-        #: Poison-promotion breaker, keyed ``shard-<id>``: ``threshold``
-        #: consecutive poisoned jobs on one shard trip quarantine.
-        self.breaker = CircuitBreaker(threshold=breaker_threshold)
+        #: Poison-promotion breaker, keyed ``shard-<id>``.
+        self.breaker = CircuitBreaker(threshold=_BREAKER_THRESHOLD)
         self.quarantined: set[int] = set()
         self.results: dict[str, JobResult] = {}
         self._specs: dict[str, JobSpec] = {}

@@ -27,7 +27,32 @@ from dataclasses import dataclass, field
 from ..errors import FaultInjectionError, ReproError
 from ..rng.lcg import RandomStream
 
-__all__ = ["FaultKind", "FaultEvent", "FaultPlan", "SimulatedCrash"]
+__all__ = ["FaultKind", "FaultEvent", "FaultPlan", "SimulatedCrash",
+           "sample_schedule"]
+
+
+def sample_schedule(seed: int, slots, kinds, error=FaultInjectionError) -> list:
+    """The seeded sampler under every fault schedule (this module's
+    :class:`FaultPlan`, the chaos harness's ``ChaosSchedule``).
+
+    ``kinds`` is an ordered sequence of ``(kind, p, drawn)``; a ``p``
+    outside [0, 1] raises ``error`` naming ``p_<kind.value>``.  One
+    :class:`~repro.rng.lcg.RandomStream` is consumed slot by slot, kind by
+    kind: ``prn() < p`` decides whether the kind fires, and a ``drawn`` kind
+    that fires takes one more uniform (victim, entry, magnitude).  Returns
+    the ``(slot, kind, uniform or None)`` that fired, in draw order — the
+    schedule's identity on any platform.
+    """
+    for kind, p, _ in kinds:
+        if not 0.0 <= p <= 1.0:
+            raise error(f"p_{kind.value} must be in [0, 1], got {p}")
+    stream = RandomStream(seed=seed)
+    fired = []
+    for slot in slots:
+        for kind, p, drawn in kinds:
+            if stream.prn() < p:
+                fired.append((slot, kind, stream.prn() if drawn else None))
+    return fired
 
 
 class SimulatedCrash(ReproError):
@@ -81,33 +106,23 @@ class FaultPlan:
         arguments).  At most one rank crashes per batch, and the victim is
         drawn uniformly from the ranks.
         """
-        for name, p in (
-            ("p_rank_crash", p_rank_crash),
-            ("p_transfer_stall", p_transfer_stall),
-            ("p_mid_batch_kill", p_mid_batch_kill),
-        ):
-            if not 0.0 <= p <= 1.0:
-                raise FaultInjectionError(f"{name} must be in [0, 1], got {p}")
         if n_batches < 0 or n_ranks < 1:
             raise FaultInjectionError("need n_batches >= 0 and n_ranks >= 1")
-        stream = RandomStream(seed=seed)
-        events: list[FaultEvent] = []
-        for batch in range(n_batches):
-            if stream.prn() < p_rank_crash:
-                victim = int(stream.prn() * n_ranks)
-                events.append(
-                    FaultEvent(FaultKind.RANK_CRASH, batch, rank=victim)
-                )
-            if stream.prn() < p_transfer_stall:
-                events.append(
-                    FaultEvent(
-                        FaultKind.TRANSFER_STALL,
-                        batch,
-                        magnitude=stall_seconds * (0.5 + stream.prn()),
-                    )
-                )
-            if stream.prn() < p_mid_batch_kill:
-                events.append(FaultEvent(FaultKind.MID_BATCH_KILL, batch))
+        fired = sample_schedule(seed, range(n_batches), (
+            (FaultKind.RANK_CRASH, p_rank_crash, True),
+            (FaultKind.TRANSFER_STALL, p_transfer_stall, True),
+            (FaultKind.MID_BATCH_KILL, p_mid_batch_kill, False),
+        ))
+        events = []
+        for batch, kind, u in fired:
+            if kind is FaultKind.RANK_CRASH:
+                event = FaultEvent(kind, batch, rank=int(u * n_ranks))
+            elif kind is FaultKind.TRANSFER_STALL:
+                magnitude = stall_seconds * (0.5 + u)
+                event = FaultEvent(kind, batch, magnitude=magnitude)
+            else:
+                event = FaultEvent(kind, batch)
+            events.append(event)
         return cls(events=tuple(events))
 
     @classmethod

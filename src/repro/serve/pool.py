@@ -1,7 +1,7 @@
 """Persistent multiprocessing workers that amortize library construction.
 
-Each worker is a long-lived process with a private task queue and a shared
-result queue.  On its first job for a given library fingerprint it builds
+Each worker is a long-lived process with a private task queue and a private
+result pipe.  On its first job for a given library fingerprint it builds
 the library — or loads it from the shared on-disk
 :class:`~repro.serve.cache.LibraryCache` — and keeps it in memory, so
 every subsequent compatible job pays only transport time.  This is the
@@ -16,6 +16,13 @@ the service requeues the job under its
 deterministic in its spec alone, a rerun after a crash is bit-identical to
 an undisturbed run — the same invariant checkpoint/restart guarantees
 within a single simulation.
+
+The result channel is one pipe per worker *incarnation*, written by the
+worker's only thread and read with :func:`multiprocessing.connection.wait`,
+so a worker that dies — mid-frame included — damages nothing but its own
+channel, which the pool reads to end-of-file and drops at respawn.  (A
+shared ``multiprocessing.Queue`` cannot promise that: a death while its
+feeder thread holds the cross-process write lock wedges every other writer.)
 """
 
 from __future__ import annotations
@@ -23,8 +30,10 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import queue as stdlib_queue
+import threading
 import time
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from time import perf_counter
 
 from ..errors import ServeError
@@ -41,6 +50,14 @@ CRASH_EXIT_CODE = 23
 
 _HEARTBEAT_S = 0.25
 
+#: Serializes create-pipes -> fork -> close-the-child's-ends across every
+#: pool in the process (two gateway shards start theirs from two threads).
+#: A worker forked inside another spawn's window inherits that worker's
+#: write ends (result pipe, ``Process.sentinel``); its death is then no
+#: end-of-file while the sibling lives, and ``Process.join(timeout)`` sits
+#: out its whole timeout on a worker that has already exited.
+_SPAWN_LOCK = threading.Lock()
+
 
 def _resolve_context(start_method: str | None) -> mp.context.BaseContext:
     if start_method is not None:
@@ -54,29 +71,29 @@ def _resolve_context(start_method: str | None) -> mp.context.BaseContext:
 def _worker_main(
     worker_id: int,
     task_q: "mp.Queue",
-    result_q: "mp.Queue",
+    results: Connection,
     cache_dir: str | None,
     heartbeat_s: float,
 ) -> None:
     """Worker loop: build-or-load library once per fingerprint, serve jobs."""
     libraries: dict = {}
     cache = LibraryCache(cache_dir) if cache_dir else None
-    result_q.put(("ready", worker_id, os.getpid()))
+    results.send(("ready", worker_id, os.getpid()))
     while True:
         try:
             msg = task_q.get(timeout=heartbeat_s)
         except stdlib_queue.Empty:
-            result_q.put(("heartbeat", worker_id))
+            results.send(("heartbeat", worker_id))
             continue
         if msg is None:
-            result_q.put(("stopped", worker_id))
+            results.send(("stopped", worker_id))
             return
         spec_dict, attempt = msg
         spec = JobSpec.from_dict(spec_dict)
-        result_q.put(("started", worker_id, spec.job_id))
+        results.send(("started", worker_id, spec.job_id))
         if attempt <= spec.fault_crash_attempts:
-            # Injected mid-job crash: die without flushing anything, the
-            # worst case short of corrupting state (which os._exit cannot).
+            # Injected mid-job crash: die without flushing anything; this
+            # thread is the pipe's only writer, so no frame is cut short.
             os._exit(CRASH_EXIT_CODE)
         t0 = perf_counter()
         try:
@@ -107,7 +124,7 @@ def _worker_main(
                 # Per-batch progress for streaming observers: timing only
                 # (the PR 5 observer contract), so it cannot perturb
                 # physics no matter what the gateway does with it.
-                result_q.put(
+                results.send(
                     ("progress", worker_id, _job_id, batch, seconds,
                      n_particles)
                 )
@@ -124,9 +141,9 @@ def _worker_main(
                 library_source=outcome.source,
             )
             job_result.service_seconds = perf_counter() - t0
-            result_q.put(("done", worker_id, spec.job_id, job_result.to_dict()))
+            results.send(("done", worker_id, spec.job_id, job_result.to_dict()))
         except Exception as exc:  # noqa: BLE001 — worker must never die silently
-            result_q.put(
+            results.send(
                 (
                     "error",
                     worker_id,
@@ -163,20 +180,31 @@ class PoolEvent:
 
 class _WorkerHandle:
     __slots__ = (
-        "worker_id", "process", "task_q", "incarnation", "state",
-        "current", "dispatched_at", "last_seen", "pid",
+        "worker_id", "process", "task_q", "results", "incarnation",
+        "state", "current", "dispatched_at", "last_seen", "pid",
     )
 
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         self.process = None
         self.task_q = None
+        #: Read end of the current incarnation's result pipe (``None``
+        #: once read to end-of-file or closed).
+        self.results: Connection | None = None
         self.incarnation = 0
         self.state = "new"  # new | starting | idle | busy | stopped
         self.current: QueuedJob | None = None
         self.dispatched_at = 0.0
         self.last_seen = time.monotonic()
         self.pid: int | None = None
+
+    def alive(self) -> bool:
+        return self.process is not None and self.process.is_alive()
+
+    def close_results(self) -> None:
+        if self.results is not None:
+            self.results.close()
+            self.results = None
 
 
 class WorkerPool:
@@ -205,10 +233,11 @@ class WorkerPool:
         #: poison back to fresh workers.
         self.breaker = breaker or CircuitBreaker()
         self._ctx = _resolve_context(start_method)
-        self._result_q: "mp.Queue" = self._ctx.Queue()
         self._workers: dict[int, _WorkerHandle] = {
             wid: _WorkerHandle(wid) for wid in range(n_workers)
         }
+        #: Events read while :meth:`stop` joined; the next poll returns them.
+        self._held: list[PoolEvent] = []
         self._started = False
         self._stopping = False
 
@@ -224,19 +253,25 @@ class WorkerPool:
     def _spawn(self, handle: _WorkerHandle) -> None:
         handle.incarnation += 1
         handle.task_q = self._ctx.Queue()
-        handle.process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                handle.worker_id,
-                handle.task_q,
-                self._result_q,
-                self.cache_dir,
-                self.heartbeat_s,
-            ),
-            daemon=True,
-            name=f"repro-serve-worker-{handle.worker_id}",
-        )
-        handle.process.start()
+        handle.close_results()
+        with _SPAWN_LOCK:
+            handle.results, writer = self._ctx.Pipe(duplex=False)
+            handle.process = self._ctx.Process(
+                target=_worker_main,
+                args=(
+                    handle.worker_id,
+                    handle.task_q,
+                    writer,
+                    self.cache_dir,
+                    self.heartbeat_s,
+                ),
+                daemon=True,
+                name=f"repro-serve-worker-{handle.worker_id}",
+            )
+            handle.process.start()
+            # The worker now holds the only write end: its death is an
+            # end-of-file on ``handle.results``.
+            writer.close()
         handle.pid = handle.process.pid
         handle.state = "starting"
         handle.current = None
@@ -246,29 +281,28 @@ class WorkerPool:
         """Shut the pool down.
 
         Graceful stop sends each worker a sentinel and joins it — in-flight
-        jobs finish first because the sentinel queues behind them.  The
-        non-graceful path terminates processes outright.
+        jobs finish first because the sentinel queues behind them, and the
+        pool keeps reading while it waits (a worker blocked on a full result
+        pipe never reaches its sentinel); the next :meth:`poll` returns what
+        it read.  The non-graceful path terminates processes outright.
         """
         self._stopping = True
         if graceful:
             for handle in self._workers.values():
-                if handle.process is not None and handle.process.is_alive():
+                if handle.alive():
                     handle.task_q.put(None)
             deadline = time.monotonic() + timeout_s
-            for handle in self._workers.values():
-                if handle.process is not None:
-                    handle.process.join(
-                        max(0.0, deadline - time.monotonic())
-                    )
+            while self.alive_count() and time.monotonic() < deadline:
+                self._held.extend(self._drain(0.05))
         for handle in self._workers.values():
-            proc = handle.process
-            if proc is not None and proc.is_alive():
-                proc.terminate()
-                proc.join(1.0)
+            if handle.alive():
+                handle.process.terminate()
+                handle.process.join(1.0)
             if handle.task_q is not None:
                 handle.task_q.cancel_join_thread()
+            self._held.extend(self._read(handle))
+            handle.close_results()
             handle.state = "stopped"
-        self._result_q.cancel_join_thread()
 
     # -- Dispatch ------------------------------------------------------------
 
@@ -300,20 +334,32 @@ class WorkerPool:
         """Drain worker messages (blocking up to ``timeout`` for the first)
         and detect crashed workers; crashed busy workers are respawned and
         their in-flight job returned for requeue."""
-        events: list[PoolEvent] = []
-        block = True
-        while True:
-            try:
-                msg = self._result_q.get(
-                    timeout=timeout if block else 0.0
-                )
-            except stdlib_queue.Empty:
-                break
-            block = False
-            events_from_msg = self._handle_message(msg)
-            if events_from_msg is not None:
-                events.append(events_from_msg)
+        events, self._held = self._held, []
+        events.extend(self._drain(timeout))
         events.extend(self._reap_crashes())
+        return events
+
+    def _drain(self, timeout: float) -> list[PoolEvent]:
+        """Handle every message already written, waiting up to ``timeout``
+        for the first one."""
+        handles = list(self._workers.values())
+        wait([h.results for h in handles if h.results is not None], timeout)
+        return [event for h in handles for event in self._read(h)]
+
+    def _read(self, handle: _WorkerHandle) -> list[PoolEvent]:
+        """Handle what one worker's channel holds, without blocking.  At
+        end-of-file — the incarnation is dead, possibly mid-frame — the
+        channel is closed; the crash itself is :meth:`_reap_crashes`'s."""
+        events: list[PoolEvent] = []
+        while handle.results is not None and handle.results.poll():
+            try:
+                msg = handle.results.recv()
+            except (EOFError, OSError):
+                handle.close_results()
+                break
+            event = self._handle_message(msg)
+            if event is not None:
+                events.append(event)
         return events
 
     def _handle_message(self, msg: tuple) -> PoolEvent | None:
@@ -323,9 +369,7 @@ class WorkerPool:
         if kind == "ready":
             handle.state = "idle" if handle.current is None else "busy"
             return None
-        if kind == "heartbeat":
-            return None
-        if kind == "started":
+        if kind in ("heartbeat", "started"):
             return None
         if kind == "progress":
             _, _, job_id, batch, seconds, n_particles = msg
@@ -376,6 +420,8 @@ class WorkerPool:
             proc = handle.process
             if proc is None or proc.is_alive() or handle.state == "stopped":
                 continue
+            # Whatever the worker finished writing before it died counts.
+            events.extend(self._read(handle))
             lost = handle.current
             if lost is None:
                 events.append(PoolEvent("crash", handle.worker_id))
@@ -407,7 +453,7 @@ class WorkerPool:
         now = time.monotonic()
         return {
             wid: {
-                "alive": bool(h.process is not None and h.process.is_alive()),
+                "alive": h.alive(),
                 "state": h.state,
                 "pid": h.pid,
                 "incarnation": h.incarnation,
@@ -420,8 +466,4 @@ class WorkerPool:
         }
 
     def alive_count(self) -> int:
-        return sum(
-            1
-            for h in self._workers.values()
-            if h.process is not None and h.process.is_alive()
-        )
+        return sum(h.alive() for h in self._workers.values())

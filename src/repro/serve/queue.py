@@ -23,7 +23,34 @@ import time
 from ..errors import QueueFullError, ServeError
 from .jobs import JobSpec
 
-__all__ = ["JobQueue", "QueuedJob"]
+__all__ = ["JobQueue", "QueuedJob", "RetryAfterModel"]
+
+
+class RetryAfterModel:
+    """The adaptive retry-after hint of a full queue (serve) or a full
+    gateway: an EMA of job service time over the worker slots draining
+    it — one slot frees roughly every ``mean / slots`` seconds."""
+
+    ALPHA = 0.3
+    FLOOR_S = 0.05
+
+    def __init__(self) -> None:
+        self.mean_service_s = 0.0
+        #: The current hint; 1 s until a completion has been measured.
+        self.seconds = 1.0
+
+    def note(self, service_s: float, slots: int) -> float:
+        """Fold one completion's service time in (non-positive
+        observations are ignored); returns the updated hint."""
+        if service_s > 0:
+            self.mean_service_s = (
+                service_s
+                if self.mean_service_s == 0.0
+                else self.ALPHA * service_s
+                + (1 - self.ALPHA) * self.mean_service_s
+            )
+            self.seconds = max(self.FLOOR_S, self.mean_service_s / slots)
+        return self.seconds
 
 
 class QueuedJob:

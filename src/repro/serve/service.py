@@ -40,7 +40,7 @@ from .batching import Batcher
 from .jobs import JobResult, JobSpec
 from .metrics import MetricsRegistry
 from .pool import PoolEvent, WorkerPool
-from .queue import JobQueue, QueuedJob
+from .queue import JobQueue, QueuedJob, RetryAfterModel
 
 __all__ = [
     "SimulationService",
@@ -85,7 +85,7 @@ class SimulationService:
         self._order: list[str] = []
         self._wait_s: dict[str, float] = {}
         self._started = False
-        self._mean_service_s = 0.0
+        self._retry_after = RetryAfterModel()
         #: Results recorded since the last :meth:`take_fresh_results` —
         #: the incremental completion feed a long-running driver (the
         #: gateway shard pump) consumes between :meth:`step` calls.
@@ -304,7 +304,12 @@ class SimulationService:
             if source_counter:
                 self.metrics.counter(source_counter).inc()
             self._update_cache_hit_rate()
-            self._update_retry_hint(result.service_seconds)
+            self.queue.retry_after_hint = self._retry_after.note(
+                result.service_seconds, self.pool.n_workers
+            )
+            self.metrics.gauge("retry_after_seconds").set(
+                self.queue.retry_after_hint
+            )
         elif event.kind == "error":
             job = event.job
             self._record(
@@ -391,21 +396,6 @@ class SimulationService:
         total = builds + hits
         if total:
             self.metrics.gauge("cache_hit_rate").set(hits / total)
-
-    def _update_retry_hint(self, service_s: float) -> None:
-        # EMA of service time; one slot frees roughly every mean/workers.
-        alpha = 0.3
-        self._mean_service_s = (
-            service_s
-            if self._mean_service_s == 0.0
-            else alpha * service_s + (1 - alpha) * self._mean_service_s
-        )
-        self.queue.retry_after_hint = max(
-            0.05, self._mean_service_s / self.pool.n_workers
-        )
-        self.metrics.gauge("retry_after_seconds").set(
-            self.queue.retry_after_hint
-        )
 
     # -- Observability -------------------------------------------------------
 

@@ -35,18 +35,9 @@ from ..errors import PhysicsError
 from ..geometry.hoogenboom import ACTIVE_HALF_HEIGHT as _HALF_Z
 from ..geometry.hoogenboom import PIN_PITCH
 from ..rng.lcg import prn_array
-from ..types import CollisionChannel
 from .context import TransportContext
 from .particle import FissionBank, ParticleBank
-from .stages import (
-    COLLISION,
-    FISSION,
-    SCATTER,
-    SURVIVAL,
-    XS_LOOKUP,
-    SigmaTables,
-    tile_slices,
-)
+from .stages import XS_LOOKUP, SigmaTables, collide_banked, tile_slices
 from .tally import GlobalTallies
 
 __all__ = ["MajorantXS", "run_generation_delta", "fold_reflective"]
@@ -156,8 +147,12 @@ def run_generation_delta(
 
     sig = SigmaTables.zeros(n)
 
+    # Compacted live index, as in the event schedule: sorted, shrinking,
+    # equal to ``np.nonzero(bank.alive)[0]`` without the full-bank scan.
+    alive = np.arange(n, dtype=np.int64)
+
     while True:
-        alive = np.nonzero(bank.alive)[0]
+        alive = alive[bank.alive[alive]]
         if alive.size == 0:
             break
 
@@ -203,36 +198,8 @@ def run_generation_delta(
         if real.size == 0:
             continue
 
-        tallies.score_collision_many(
-            bank.weight[real], sig.nu_fission[real], sig.total[real]
+        collide_banked(
+            ctx, bank, real, sig, tallies, fission_bank, k_norm, particle_ids
         )
-        counters.collisions += real.size
-
-        if ctx.survival_biasing:
-            SURVIVAL.banked(
-                ctx, bank, real, tallies, fission_bank, k_norm,
-                particle_ids, sig,
-            )
-            continue
-
-        channels = COLLISION.banked(ctx, bank, real, sig)
-
-        cap = real[channels == int(CollisionChannel.CAPTURE)]
-        if cap.size:
-            tallies.score_absorption_many(
-                bank.weight[cap], sig.nu_fission[cap], sig.absorption(cap)
-            )
-            bank.alive[cap] = False
-        fis = real[channels == int(CollisionChannel.FISSION)]
-        if fis.size:
-            tallies.score_absorption_many(
-                bank.weight[fis], sig.nu_fission[fis], sig.absorption(fis)
-            )
-            counters.fissions += fis.size
-            FISSION.banked(ctx, bank, fis, fission_bank, k_norm, particle_ids)
-            bank.alive[fis] = False
-        sct = real[channels == int(CollisionChannel.SCATTER)]
-        if sct.size:
-            SCATTER.banked(ctx, bank, sct)
 
     return fission_bank

@@ -32,20 +32,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..types import CollisionChannel
 from .context import TransportContext
 from .meshtally import PowerTally
 from .particle import FissionBank, ParticleBank
 from .spectrum import SpectrumTally
 from .stages import (
-    COLLISION,
     CROSSING,
-    FISSION,
     FLIGHT,
-    SCATTER,
-    SURVIVAL,
     XS_LOOKUP,
     SigmaTables,
+    collide_banked,
     material_tiles,
 )
 from .stats import TransportStats
@@ -74,14 +70,13 @@ def run_generation_event(
     XS lookup, bands its own tiles by energy
     (:func:`repro.transport.stages.material_tiles`).
     """
-    counters = ctx.counters
     fission_bank = FissionBank()
 
     bank = ParticleBank.from_source(positions, energies, first_id, ctx.master_seed)
     particle_ids = first_id + np.arange(positions.shape[0])
     n = bank.n
     tallies.source_weight += float(n)
-    counters.rn_draws += 2 * n
+    ctx.counters.rn_draws += 2 * n
 
     # Per-particle sigma side-tables refreshed by the lookup stage each cycle.
     sig = SigmaTables.zeros(n)
@@ -137,43 +132,10 @@ def run_generation_event(
             CROSSING.banked(ctx, bank, cross_idx, tallies)
 
         # ---- Stage 4: collisions.
-        if coll_idx.size == 0:
-            continue
-        tallies.score_collision_many(
-            bank.weight[coll_idx], sig.nu_fission[coll_idx], sig.total[coll_idx]
-        )
-        counters.collisions += coll_idx.size
-
-        if ctx.survival_biasing:
-            SURVIVAL.banked(
-                ctx, bank, coll_idx, tallies, fission_bank, k_norm,
-                particle_ids, sig,
+        if coll_idx.size:
+            collide_banked(
+                ctx, bank, coll_idx, sig, tallies, fission_bank, k_norm,
+                particle_ids,
             )
-            continue
-
-        channels = COLLISION.banked(ctx, bank, coll_idx, sig)
-
-        # Capture: absorb and terminate.
-        cap = coll_idx[channels == int(CollisionChannel.CAPTURE)]
-        if cap.size:
-            tallies.score_absorption_many(
-                bank.weight[cap], sig.nu_fission[cap], sig.absorption(cap)
-            )
-            bank.alive[cap] = False
-
-        # Fission: absorb, bank sites, terminate.
-        fis = coll_idx[channels == int(CollisionChannel.FISSION)]
-        if fis.size:
-            tallies.score_absorption_many(
-                bank.weight[fis], sig.nu_fission[fis], sig.absorption(fis)
-            )
-            counters.fissions += fis.size
-            FISSION.banked(ctx, bank, fis, fission_bank, k_norm, particle_ids)
-            bank.alive[fis] = False
-
-        # Scatter: pick nuclide, apply kinematics (clamp included).
-        sct = coll_idx[channels == int(CollisionChannel.SCATTER)]
-        if sct.size:
-            SCATTER.banked(ctx, bank, sct)
 
     return fission_bank

@@ -20,7 +20,7 @@ merely runs at ``event`` speed.
 
 Layering: this package sits beside :mod:`repro.transport.stages` at the
 bottom of the transport stack and must not import upward (execution /
-serve / cluster / simd / ... — rule 7 of ``tools/check_layering.py``).
+serve / cluster / simd / ... — ``tools/check_layering.py``).
 """
 
 from __future__ import annotations

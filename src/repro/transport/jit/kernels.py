@@ -34,8 +34,8 @@ The kernels mirror, line for line:
   ordering).
 
 Layering: like :mod:`repro.transport.stages`, this package sits at the
-bottom of the transport stack and imports nothing above it (rule 7 of
-``tools/check_layering.py``).
+bottom of the transport stack and imports nothing above it (the
+``transport/jit`` row of ``tools/check_layering.py``).
 """
 
 from __future__ import annotations

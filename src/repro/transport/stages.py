@@ -53,7 +53,7 @@ from ..physics.scattering import (
 from ..physics.thermal import free_gas_scatter, free_gas_scatter_many
 from ..rng.lcg import prn_array
 from ..rng.sampling import sample_index, sample_index_many
-from ..types import Reaction
+from ..types import CollisionChannel, Reaction
 from .context import TransportContext
 from .particle import FissionBank, Particle, ParticleBank
 from .tally import GlobalTallies
@@ -77,6 +77,7 @@ __all__ = [
     "SCATTER",
     "STAGE_KERNELS",
     "TILE_ELEMENTS",
+    "collide_banked",
     "group_by_value",
     "material_tiles",
     "tile_slices",
@@ -704,3 +705,55 @@ SCATTER = ScatterKernel()
 STAGE_KERNELS: tuple[StageKernel, ...] = (
     XS_LOOKUP, FLIGHT, CROSSING, COLLISION, SURVIVAL, FISSION, SCATTER
 )
+
+
+def collide_banked(
+    ctx: TransportContext,
+    bank: ParticleBank,
+    coll_idx: np.ndarray,
+    sig: SigmaTables,
+    tallies: GlobalTallies,
+    fission_bank: FissionBank,
+    k_norm: float,
+    particle_ids: np.ndarray,
+) -> None:
+    """The collision block of every banked schedule (event and delta):
+    score the collisions of ``coll_idx``, then survival-bias them, or select
+    channels and run the gathered capture / fission / scatter sub-banks —
+    the paper's gather-scatter-compress structure for conditionals."""
+    tallies.score_collision_many(
+        bank.weight[coll_idx], sig.nu_fission[coll_idx], sig.total[coll_idx]
+    )
+    ctx.counters.collisions += coll_idx.size
+
+    if ctx.survival_biasing:
+        SURVIVAL.banked(
+            ctx, bank, coll_idx, tallies, fission_bank, k_norm,
+            particle_ids, sig,
+        )
+        return
+
+    channels = COLLISION.banked(ctx, bank, coll_idx, sig)
+
+    # Capture: absorb and terminate.
+    cap = coll_idx[channels == int(CollisionChannel.CAPTURE)]
+    if cap.size:
+        tallies.score_absorption_many(
+            bank.weight[cap], sig.nu_fission[cap], sig.absorption(cap)
+        )
+        bank.alive[cap] = False
+
+    # Fission: absorb, bank sites, terminate.
+    fis = coll_idx[channels == int(CollisionChannel.FISSION)]
+    if fis.size:
+        tallies.score_absorption_many(
+            bank.weight[fis], sig.nu_fission[fis], sig.absorption(fis)
+        )
+        ctx.counters.fissions += fis.size
+        FISSION.banked(ctx, bank, fis, fission_bank, k_norm, particle_ids)
+        bank.alive[fis] = False
+
+    # Scatter: pick nuclide, apply kinematics (clamp included).
+    sct = coll_idx[channels == int(CollisionChannel.SCATTER)]
+    if sct.size:
+        SCATTER.banked(ctx, bank, sct)

@@ -52,19 +52,9 @@ class TestBitEquivalence:
 
 
 class TestDecomposition:
-    def test_rank_slices_cover(self, small_library):
-        dist = DistributedSimulation(small_library, SETTINGS, 4)
-        slices = dist._rank_slices(90)
-        covered = sum(sl.stop - sl.start for sl in slices)
-        assert covered == 90
-        assert slices[0].start == 0
-        assert slices[-1].stop == 90
-
     def test_uneven_split(self, small_library):
-        dist = DistributedSimulation(small_library, SETTINGS, 4)
-        slices = dist._rank_slices(10)
-        counts = [sl.stop - sl.start for sl in slices]
-        assert counts == [3, 3, 2, 2]
+        dist = DistributedSimulation(small_library, SETTINGS, 4).run()
+        assert dist.per_rank_particles == [23, 23, 22, 22]
 
     def test_comm_time_grows_with_ranks(self, small_library):
         t2 = DistributedSimulation(small_library, SETTINGS, 2).run().comm_time

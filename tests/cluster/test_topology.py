@@ -34,10 +34,9 @@ class TestNodeConfig:
         """The scaling drivers construct their per-node model from
         NodeConfig.devices (host last), not from the old host/mic pair."""
         from repro.cluster.scaling import _node_for
-        from repro.execution.symmetric import SymmetricNode
+        from repro.execution.symmetric import FleetNode
 
         node = _node_for(JLSE, 2, "hm-large", None)
-        assert isinstance(node, SymmetricNode)
-        assert node.host is JLSE.host
-        assert node.mics == [JLSE.mic, JLSE.mic]
+        assert isinstance(node, FleetNode)
+        assert node.devices == [JLSE.mic, JLSE.mic, JLSE.host]
         assert node.n_ranks == 3

@@ -10,6 +10,7 @@ from repro.execution.loadbalance import (
     AdaptiveAlphaController,
     alpha_split,
     alpha_split_counts,
+    equal_assignments,
     equal_split,
     fleet_split,
 )
@@ -28,6 +29,18 @@ class TestEqualSplit:
     def test_invalid(self):
         with pytest.raises(ExecutionError):
             equal_split(10, 0)
+
+    def test_assignments_are_contiguous_over_the_given_ranks(self):
+        """The static plan every rank-split driver starts from: the equal
+        counts as contiguous slices, labelled with the alive ranks in
+        order."""
+        plan = equal_assignments(90, [0, 2, 3, 5])
+        assert [rank for rank, _ in plan] == [0, 2, 3, 5]
+        assert [sl.stop - sl.start for _, sl in plan] == equal_split(90, 4)
+        assert plan[0][1].start == 0
+        assert plan[-1][1].stop == 90
+        for (_, left), (_, right) in zip(plan, plan[1:]):
+            assert left.stop == right.start
 
 
 class TestAlphaSplit:

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ExecutionError
 from repro.execution.native import NativeModel, alpha
 from repro.execution.offload import OffloadCostModel
-from repro.execution.symmetric import SymmetricNode
+from repro.execution.symmetric import FleetNode
 from repro.machine.presets import JLSE_HOST, MIC_7120A, PCIE_GEN2_X16
 
 
@@ -133,9 +133,9 @@ class TestSymmetricTableIII:
     @pytest.fixture(scope="class")
     def nodes(self):
         return {
-            "cpu": SymmetricNode(JLSE_HOST, [], "hm-large"),
-            "1mic": SymmetricNode(JLSE_HOST, [MIC_7120A], "hm-large"),
-            "2mic": SymmetricNode(JLSE_HOST, [MIC_7120A, MIC_7120A], "hm-large"),
+            "cpu": FleetNode([JLSE_HOST], "hm-large"),
+            "1mic": FleetNode([MIC_7120A, JLSE_HOST], "hm-large"),
+            "2mic": FleetNode([MIC_7120A, MIC_7120A, JLSE_HOST], "hm-large"),
         }
 
     def test_cpu_only_anchor(self, nodes):

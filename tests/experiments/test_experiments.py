@@ -171,6 +171,22 @@ class TestTables:
         assert two["load balanced [n/s]"] == pytest.approx(17_098, rel=0.08)
         assert two["load balanced [n/s]"] > two["original [n/s]"]
 
+    def test_table3_rates_pinned_exactly(self):
+        """The six Table III rates, recorded from the host+MICs
+        subclass before FleetNode took the alpha split: equal to the
+        last digit."""
+        result = run_experiment("table3", "quick")
+        rates = [
+            (r["original [n/s]"], r["load balanced [n/s]"])
+            for r in result.rows[:4]
+        ]
+        assert rates == [
+            (4041.390302926451, None),
+            (6518.25011840355, None),
+            (8041.555514485038, 10478.401917966688),
+            (12004.909718729734, 16777.472584900413),
+        ]
+
     def test_table3_lb_gains(self):
         result = run_experiment("table3", "quick")
         for r in result.rows:

@@ -4,8 +4,8 @@ view of the cost model (ISSUE 9: heterogeneous N-device fleets)."""
 import pytest
 
 from repro.cluster.topology import FLEET_PRESETS, available_fleets, fleet_by_name
-from repro.errors import ClusterError, MachineModelError
-from repro.execution.symmetric import FleetNode, SymmetricNode
+from repro.errors import ClusterError, ExecutionError, MachineModelError
+from repro.execution.symmetric import FleetNode
 from repro.machine.presets import (
     EPYC_HOST,
     GPU_A100,
@@ -129,32 +129,30 @@ class TestFleetNodeModel:
         )
 
     def test_weights_strategy_requires_weights(self):
-        from repro.errors import ExecutionError
-
         node = FleetNode([EPYC_HOST], "hm-small")
         with pytest.raises(ExecutionError):
             node.fleet_counts(100, "weights")
         assert node.fleet_counts(100, "weights", weights=[1.0]) == [100]
 
     def test_empty_fleet_rejected(self):
-        from repro.errors import ExecutionError
-
         with pytest.raises(ExecutionError):
             FleetNode([], "hm-small")
 
     def test_symmetric_node_is_a_two_class_fleet_view(self):
-        """SymmetricNode rides on FleetNode with rank order [*mics, host]
-        and keeps the Eq. 3 alpha split bit-identical to fleet order."""
-        node = SymmetricNode(JLSE_HOST, [MIC_7120A, MIC_7120A], "hm-large")
-        assert isinstance(node, FleetNode)
-        assert [d.name for d in node.devices] == [
-            MIC_7120A.name, MIC_7120A.name, JLSE_HOST.name,
-        ]
-        mic_counts, host = node.split(100_000, "alpha", 0.62)
-        assert sum(mic_counts) + host == 100_000
+        """The paper's host+MICs node is a FleetNode in rank order
+        [*mics, host]; its ``"alpha"`` strategy is Eq. 3's two-class
+        split, host last (counts recorded from the host+MICs subclass
+        this replaced)."""
+        node = FleetNode([MIC_7120A, MIC_7120A, JLSE_HOST], "hm-large")
         assert node.fleet_counts(100_000, "alpha", 0.62) == [
-            *mic_counts, host,
+            38_168, 38_168, 23_664,
         ]
+        one = FleetNode([MIC_7120A, JLSE_HOST], "hm-large")
+        assert one.fleet_counts(100_000, "alpha", 0.62) == [61_728, 38_272]
+        cpu_only = FleetNode([JLSE_HOST], "hm-large")
+        assert cpu_only.fleet_counts(100_000, "alpha", 0.62) == [100_000]
+        with pytest.raises(ExecutionError, match="requires alpha"):
+            node.fleet_counts(100_000, "alpha")
 
     def test_modern_crossover_shape(self):
         """Fig. 5 at modern scale: the host out-runs a starved GPU on

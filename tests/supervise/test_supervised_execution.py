@@ -168,6 +168,80 @@ class TestSymmetricEviction:
             )
 
 
+class TestOneSplitPath:
+    """The symmetric scheduler and the cluster driver split a generation
+    through the same primitive: same victim, same batch, same executed
+    ``(rank, slice)`` units."""
+
+    N, RANKS, BATCHES = 90, 3, 3
+
+    @pytest.fixture
+    def executed(self, monkeypatch):
+        """Record every ``run_split`` call's executed units, per caller."""
+        import repro.cluster.distributed as distributed
+        import repro.execution.symmetric as symmetric
+
+        calls = {"symmetric": [], "distributed": []}
+        real = symmetric.run_split
+
+        def spy_into(log):
+            def spy(*args, **kwargs):
+                runs = real(*args, **kwargs)
+                log.append(
+                    [(r.rank, r.slice.start, r.slice.stop) for r in runs]
+                )
+                return runs
+            return spy
+
+        monkeypatch.setattr(
+            symmetric, "run_split", spy_into(calls["symmetric"])
+        )
+        monkeypatch.setattr(
+            distributed, "run_split", spy_into(calls["distributed"])
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "victim, batch", [(0, 0), (1, 1), (2, 1), (1, 2), (7, 1)]
+    )
+    def test_same_assignments_for_same_victim_and_batch(
+        self, small_library, union, executed, victim, batch
+    ):
+        plan = FaultPlan.single(FaultKind.RANK_CRASH, batch=batch, rank=victim)
+        ctx = TransportContext.create(
+            small_library, pincell=True, union=union, master_seed=7
+        )
+        sup = Supervisor(n_ranks=self.RANKS, policy=LENIENT)
+        ec = ExecutionContext.create(
+            transport=ctx, backend="event", supervisor=sup, fault_plan=plan,
+        )
+        pos, en = source(self.N)
+        scheduler = SymmetricScheduler(n_ranks=self.RANKS)
+        for _ in range(self.BATCHES):
+            scheduler.run_generation(ec, pos, en, ec.new_tallies(), 1.0, 0)
+
+        dist_sup = Supervisor(n_ranks=self.RANKS, policy=LENIENT)
+        dist = DistributedSimulation(
+            small_library,
+            Settings(n_particles=self.N, n_inactive=1,
+                     n_active=self.BATCHES - 1, pincell=True,
+                     mode="event", seed=17),
+            self.RANKS, fault_plan=plan, supervisor=dist_sup,
+        ).run()
+
+        assert len(executed["symmetric"]) == self.BATCHES
+        assert executed["symmetric"] == executed["distributed"]
+        crashed = [victim] if victim < self.RANKS else []
+        assert sup.evicted == dist_sup.evicted == dist.failed_ranks == crashed
+        # The crash batch re-runs the victim's slice on the survivors; every
+        # batch still covers [0, N) exactly once, in global-start order.
+        for i, units in enumerate(executed["symmetric"]):
+            assert units[0][1] == 0 and units[-1][2] == self.N
+            assert all(a[2] == b[1] for a, b in zip(units, units[1:]))
+            ranks = {rank for rank, _, _ in units}
+            assert (victim in ranks) == (i < batch and victim < self.RANKS)
+
+
 class TestNativeSupervision:
     def test_native_scheduler_feeds_observations(
         self, small_library, union

@@ -93,16 +93,17 @@ class TestArgumentParsing:
         assert args.command == "status"
         assert args.json_output is True
 
-    def test_legacy_bare_form_maps_to_run(self, capsys):
-        """``repro-sim --pincell`` (no subcommand) parses as ``run`` — via
-        main(), which owns the rewrite."""
-        with pytest.raises(SystemExit):
-            # Direct parse without the rewrite must fail...
-            build_parser().parse_args(["--pincell"])
-        capsys.readouterr()
-        # ...but main() rewrites and only then parses (bad flag -> exit 2).
+    def test_legacy_bare_form_is_a_usage_error(self, capsys):
+        """``repro-sim --pincell`` (no subcommand) is no longer rewritten
+        to ``run``: the parser and main() both answer with argparse's
+        usage error."""
+        for parse in (build_parser().parse_args, sim_main):
+            with pytest.raises(SystemExit) as err:
+                parse(["--pincell"])
+            assert err.value.code == 2
+            assert "usage: repro-sim" in capsys.readouterr().err
         with pytest.raises(SystemExit) as err:
-            sim_main(["--pincell", "--no-such-flag"])
+            sim_main([])
         assert err.value.code == 2
         capsys.readouterr()
 
@@ -113,13 +114,18 @@ class TestReproSim:
         assert args.mode == "event"
         assert args.model == "hm-small"
 
-    def test_legacy_flat_form_still_runs(self, capsys):
-        """``repro-sim --pincell ...`` (no subcommand) means ``run``."""
-        rc = sim_main(
-            ["--pincell", "--particles", "40", "--batches", "2",
-             "--inactive", "0"]
-        )
-        assert rc == 0
+    def test_legacy_flat_form_is_a_usage_error(self, capsys):
+        """``repro-sim --pincell ...`` (no subcommand) exits 2 without
+        running anything; the same flags after ``run`` run."""
+        flags = ["--pincell", "--particles", "40", "--batches", "2",
+                 "--inactive", "0"]
+        with pytest.raises(SystemExit) as err:
+            sim_main(flags)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert "k-effective" not in captured.out
+        assert "invalid choice" in captured.err
+        assert sim_main(["run", *flags]) == 0
         assert "k-effective" in capsys.readouterr().out
 
     def test_checkpoint_then_resume(self, tmp_path, capsys):
@@ -190,7 +196,7 @@ class TestReproSim:
 
     def test_pincell_run(self, capsys):
         rc = sim_main(
-            ["--pincell", "--particles", "60", "--batches", "2",
+            ["run", "--pincell", "--particles", "60", "--batches", "2",
              "--inactive", "0", "--seed", "3"]
         )
         assert rc == 0
@@ -228,7 +234,7 @@ class TestReproSim:
 
     def test_delta_mode(self, capsys):
         rc = sim_main(
-            ["--pincell", "--particles", "60", "--batches", "2",
+            ["run", "--pincell", "--particles", "60", "--batches", "2",
              "--inactive", "0", "--mode", "delta"]
         )
         assert rc == 0
@@ -236,7 +242,7 @@ class TestReproSim:
 
     def test_history_with_power(self, capsys):
         rc = sim_main(
-            ["--particles", "60", "--batches", "2", "--inactive", "0",
+            ["run", "--particles", "60", "--batches", "2", "--inactive", "0",
              "--mode", "event", "--tally-power"]
         )
         assert rc == 0
@@ -244,9 +250,9 @@ class TestReproSim:
 
     def test_save_and_load_library(self, tmp_path, capsys):
         path = str(tmp_path / "lib.npz")
-        assert sim_main(["--pincell", "--save-library", path]) == 0
+        assert sim_main(["run", "--pincell", "--save-library", path]) == 0
         rc = sim_main(
-            ["--pincell", "--library", path, "--particles", "40",
+            ["run", "--pincell", "--library", path, "--particles", "40",
              "--batches", "2", "--inactive", "0"]
         )
         assert rc == 0
@@ -254,7 +260,7 @@ class TestReproSim:
 
     def test_stripped_physics_flags(self, capsys):
         rc = sim_main(
-            ["--pincell", "--particles", "40", "--batches", "2",
+            ["run", "--pincell", "--particles", "40", "--batches", "2",
              "--inactive", "0", "--no-sab", "--no-urr"]
         )
         assert rc == 0

@@ -48,20 +48,52 @@ def test_relative_import_resolution():
     assert mods == ["repro.transport", "repro.transport.stats"]
 
 
-def test_jit_rule_flags_upward_import(tmp_path):
-    """Rule 7: a transport/jit module importing a driving layer is a
-    violation, detected by the same package checker as the stages rule."""
-    pkg = tmp_path / "jit"
-    pkg.mkdir()
-    (pkg / "bad.py").write_text(
-        "from ...simd.analysis import lane_utilization_report\n"
+def violations(tmp_path, rel, source):
+    """Run the real table over a one-file synthetic ``src`` tree."""
+    path = tmp_path / "repro" / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(source)
+    return check_layering.check(src=tmp_path)
+
+
+def real_imports(layer):
+    """``(file name, module)`` for every runtime import of a real layer."""
+    root = check_layering.SRC / "repro"
+    package = "repro." + layer.replace("/", ".")
+    for path in sorted((root / layer).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for _, mod in check_layering.runtime_imports(tree, package):
+            yield path.name, mod
+
+
+def test_every_declared_layer_exists():
+    for name in check_layering.LAYERS:
+        assert (check_layering.SRC / "repro" / name).exists(), name
+
+
+def test_stages_rule_flags_upward_import(tmp_path):
+    errors = violations(
+        tmp_path, "transport/stages.py",
+        "from ..profiling.timers import TimerRegistry\n"
+        "from ..physics.macroxs import XSCalculator\n",
     )
-    errors = check_layering._check_package(
-        pkg, "repro.transport.jit", check_layering.UPWARD_LAYERS,
-        "kernel layer imports upward layer",
+    assert len(errors) == 1
+    assert "repro.profiling.timers" in errors[0]
+
+
+def test_jit_rule_flags_upward_import(tmp_path):
+    """A transport/jit module importing a driving layer is a violation,
+    under the same table row as the stages."""
+    errors = violations(
+        tmp_path, "transport/jit/bad.py",
+        "from ...simd.analysis import lane_utilization_report\n",
     )
     assert len(errors) == 1
     assert "repro.simd.analysis" in errors[0]
+    assert (
+        check_layering.LAYERS["transport/jit"]
+        is check_layering.LAYERS["transport/stages.py"]
+    )
 
 
 def test_jit_package_is_kernel_layer():
@@ -71,41 +103,37 @@ def test_jit_package_is_kernel_layer():
         "repro.transport", "repro.physics", "repro.data", "repro.rng",
         "repro.types", "repro.errors", "repro.work",
     )
-    for path in sorted(check_layering.JIT_DIR.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for _, mod in check_layering.runtime_imports(
-            tree, "repro.transport.jit"
-        ):
-            if mod.startswith("repro."):
-                assert mod.startswith(allowed_prefixes), (
-                    f"{path.name} imports {mod}"
-                )
+    for name, mod in real_imports("transport/jit"):
+        if mod.startswith("repro."):
+            assert mod.startswith(allowed_prefixes), f"{name} imports {mod}"
+
+
+def test_execution_model_rule_flags_transport_import(tmp_path):
+    """An execution model importing transport directly is a violation;
+    the sanctioned adapter (execution/context.py) is not a model."""
+    source = "from ..transport.events import run_generation_event\n"
+    errors = violations(tmp_path, "execution/symmetric.py", source)
+    assert len(errors) == 1
+    assert "repro.transport.events" in errors[0]
+    assert "ExecutionContext" in errors[0]
+    (tmp_path / "repro" / "execution" / "symmetric.py").unlink()
+    assert violations(tmp_path, "execution/context.py", source) == []
 
 
 def test_supervise_rule_flags_transport_import(tmp_path):
     """A supervise module importing transport internals is a violation."""
-    pkg = tmp_path / "supervise"
-    pkg.mkdir()
-    (pkg / "bad.py").write_text(
-        "from ..transport.stats import TransportStats\n"
-    )
-    errors = check_layering._check_package(
-        pkg, "repro.supervise", check_layering.SUPERVISE_FORBIDDEN,
-        "supervision layer imports supervised layer",
+    errors = violations(
+        tmp_path, "supervise/bad.py",
+        "from ..transport.stats import TransportStats\n",
     )
     assert len(errors) == 1
     assert "repro.transport.stats" in errors[0]
 
 
 def test_resilience_rule_flags_execution_import(tmp_path):
-    pkg = tmp_path / "resilience"
-    pkg.mkdir()
-    (pkg / "bad.py").write_text(
-        "from ..execution.native import NativeModel\n"
-    )
-    errors = check_layering._check_package(
-        pkg, "repro.resilience", check_layering.RESILIENCE_FORBIDDEN,
-        "resilience primitive imports execution model",
+    errors = violations(
+        tmp_path, "resilience/bad.py",
+        "from ..execution.native import NativeModel\n",
     )
     assert len(errors) == 1
     assert "repro.execution.native" in errors[0]
@@ -114,78 +142,83 @@ def test_resilience_rule_flags_execution_import(tmp_path):
 def test_supervise_package_is_a_leaf():
     """The real supervise package imports none of the supervised layers
     (and, transitively stricter: nothing outside errors + stdlib)."""
-    for path in sorted(check_layering.SUPERVISE_DIR.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for _, mod in check_layering.runtime_imports(
-            tree, "repro.supervise"
-        ):
-            if mod.startswith("repro.") and not mod.startswith(
-                "repro.supervise"
-            ):
-                assert mod == "repro.errors", (
-                    f"{path.name} imports {mod}"
-                )
+    for name, mod in real_imports("supervise"):
+        if mod.startswith("repro.") and not mod.startswith("repro.supervise"):
+            assert mod == "repro.errors", f"{name} imports {mod}"
 
 
 def test_durable_leaf_rule_flags_any_repro_import(tmp_path):
-    """Rule 9: the durable-I/O module may import repro.errors only."""
-    leaf = tmp_path / "durable.py"
-    leaf.write_text(
+    """The durable-I/O module may import repro.errors only."""
+    errors = violations(
+        tmp_path, "durable.py",
         "import os\nfrom .errors import ReproError\n"
-        "from .serve.jobs import JobSpec\n"
+        "from .serve.jobs import JobSpec\n",
     )
-    errors = check_layering._check_leaf(leaf)
     assert len(errors) == 1
     assert "repro.serve.jobs" in errors[0]
 
 
 def test_scenarios_roof_rule_flags_core_import(tmp_path):
-    """Rule 5 machinery: a core-module import of repro.scenarios is a
-    violation, and the CLI's own import is exempt."""
-    # The real tree is clean...
-    assert check_layering._check_scenarios_roof() == []
-    # ...and the detector recognizes the forbidden import shape.
-    tree = ast.parse("from .scenarios import load_scenario\n")
-    mods = [m for _, m in check_layering.runtime_imports(tree, "repro")]
-    assert mods == ["repro.scenarios"]
-    assert check_layering._in_layer(mods[0], "repro.scenarios")
+    """A core-module import of repro.scenarios is a violation; the CLI's
+    and the chaos harness's are exempt."""
+    source = "from .scenarios import load_scenario\n"
+    errors = violations(tmp_path, "core.py", source)
+    assert len(errors) == 1
+    assert "repro.scenarios" in errors[0]
+    (tmp_path / "repro" / "core.py").unlink()
+    assert violations(tmp_path, "cli.py", source) == []
+    assert violations(
+        tmp_path, "chaos/runner.py", "from ..scenarios import load_suite\n"
+    ) == []
 
 
 def test_gateway_roof_rule_flags_core_import(tmp_path):
-    """Rule 6 machinery: the gateway tier is a roof — only the CLI may
-    import it, and the generic roof checker catches everything else."""
-    # The real tree is clean...
-    assert check_layering._check_roof(
-        check_layering.GATEWAY_DIR, "repro.gateway",
-        check_layering.GATEWAY_IMPORTERS,
-        "core module imports the gateway roof layer",
-    ) == []
-    # ...and the detector recognizes the forbidden import shape.
-    core = tmp_path / "core.py"
-    core.write_text("from .gateway import Gateway\n")
-    errors = check_layering._check_roof(
-        check_layering.GATEWAY_DIR, "repro.gateway",
-        check_layering.GATEWAY_IMPORTERS,
-        "core module imports the gateway roof layer",
-        search_files=[core], package_of=lambda p: "repro",
+    """The gateway tier is a roof — only the CLI and the chaos harness may
+    import it — and it reaches nothing below the serve surface."""
+    errors = violations(
+        tmp_path, "serve/bad.py", "from ..gateway import Gateway\n"
     )
     assert len(errors) == 1
     assert "repro.gateway" in errors[0]
+    errors = violations(
+        tmp_path, "gateway/bad.py",
+        "from ..transport.simulation import Simulation\n"
+        "from ..serve.jobs import JobSpec\n",
+    )
+    assert len(errors) == 2  # serve/bad.py is still there
+    assert "repro.transport.simulation" in errors[0]
+
+
+def test_chaos_roof_rule_flags_core_and_physics_imports(tmp_path):
+    """Only the CLI may import the chaos harness, and the harness never
+    touches the physics or hardware layers."""
+    errors = violations(
+        tmp_path, "gateway/bad.py", "from ..chaos import ChaosRunner\n"
+    )
+    assert len(errors) == 1
+    assert "repro.chaos" in errors[0]
+    errors = violations(
+        tmp_path, "chaos/bad.py",
+        "from ..machine.presets import MIC_7120A\n"
+        "from ..gateway import Gateway\n",
+    )
+    assert len(errors) == 2  # gateway/bad.py is still there
+    assert "repro.machine.presets" in errors[0]
 
 
 def test_gateway_package_imports_nothing_below_serve():
     """The gateway composes serve + supervise surfaces only: it must not
     reach into scenarios, transport, execution, cluster, simd, or
     machine — placement and caching sit strictly above the service."""
-    for path in sorted(check_layering.GATEWAY_DIR.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for _, mod in check_layering.runtime_imports(
-            tree, "repro.gateway"
-        ):
-            for layer in check_layering.GATEWAY_FORBIDDEN:
-                assert not check_layering._in_layer(mod, layer), (
-                    f"{path.name} imports {mod}"
-                )
+    forbidden = check_layering.LAYERS["gateway"].forbid
+    assert set(forbidden) == {
+        "scenarios", "transport", "execution", "cluster", "simd", "machine",
+    }
+    for name, mod in real_imports("gateway"):
+        for layer in forbidden:
+            assert not check_layering._in_layer(mod, f"repro.{layer}"), (
+                f"{name} imports {mod}"
+            )
 
 
 def test_scenarios_package_imports_no_roof_peers():
@@ -194,12 +227,8 @@ def test_scenarios_package_imports_no_roof_peers():
     the run path, it does not schedule."""
     forbidden = ("repro.execution", "repro.cluster", "repro.simd",
                  "repro.machine")
-    for path in sorted(check_layering.SCENARIOS_DIR.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for _, mod in check_layering.runtime_imports(
-            tree, "repro.scenarios"
-        ):
-            for layer in forbidden:
-                assert not check_layering._in_layer(mod, layer), (
-                    f"{path.name} imports {mod}"
-                )
+    for name, mod in real_imports("scenarios"):
+        for layer in forbidden:
+            assert not check_layering._in_layer(mod, layer), (
+                f"{name} imports {mod}"
+            )
