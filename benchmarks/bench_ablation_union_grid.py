@@ -1,13 +1,16 @@
 """Ablation 3 (DESIGN.md §5): unionized energy grid vs per-nuclide search.
 
-Leppänen's unionized grid trades memory (Table II's GB-scale index matrix)
-for replacing per-nuclide binary searches with one union search plus
-gathers.  Both configurations are exercised through the banked kernel; the
-grid-search work counters quantify the reduction.
+Leppänen's unionized grid trades memory (Table II's GB-scale index matrix;
+here rank words at 64 / W bits an entry) for replacing per-nuclide binary
+searches with one union search plus gathers.  Both configurations are
+exercised through the banked kernel; the grid-search work counters quantify
+the reduction.
 """
 
+import numpy as np
 import pytest
 
+from repro.data import LibraryConfig, UnionizedGrid, build_library
 from repro.proxy.xsbench import XSBench
 
 N = 2_000
@@ -52,18 +55,33 @@ def test_union_reduces_search_work(with_union, without_union):
 
 
 def test_union_memory_cost(tiny_large, union_large):
-    """The trade: the index matrix dwarfs the union energies themselves —
-    ``n_nuclides`` entries per union point against one float64 — at the
-    narrowest entry the library's grids allow (2 B here, not 4)."""
-    indices = union_large.indices
-    bytes_per_entry = indices.nbytes / indices.size
-    ratio = indices.nbytes / union_large.energy.nbytes
+    """The trade: per nuclide one 64-bit rank word for every ``W`` union
+    points — 64 / W bits per (nuclide, union point) entry against the 16 of
+    the narrowest integer matrix these grids would allow."""
+    words = union_large.words
+    entries = len(tiny_large) * union_large.n_union
+    bits_per_entry = 8 * words.nbytes / entries
     print(
-        f"\nunion grid (hm-large tiny): {indices.shape[0]} x "
-        f"{indices.shape[1]} entries x {bytes_per_entry:.0f} B = "
-        f"{indices.nbytes / 1e6:.2f} MB index matrix, "
-        f"{ratio:.1f}x the {union_large.energy.nbytes / 1e6:.3f} MB of "
-        f"union energies"
+        f"\nunion grid (hm-large tiny): {words.shape[0]} x {words.shape[1]} "
+        f"rank words of {union_large.step_bits} step bits = "
+        f"{words.nbytes / 1e6:.2f} MB for {entries} entries, "
+        f"{bits_per_entry:.2f} bits each; "
+        f"{words.nbytes / union_large.energy.nbytes:.1f}x the "
+        f"{union_large.energy.nbytes / 1e6:.3f} MB of union energies"
     )
-    assert bytes_per_entry == 2
-    assert ratio > 10
+    assert 64 / union_large.step_bits <= bits_per_entry < 2
+
+
+@pytest.mark.parametrize("model", ["hm-small", "hm-large"])
+def test_rank_query_is_the_direct_search_at_default_fidelity(model):
+    """Exact by construction, and shown: ``j`` for every (nuclide, union
+    point) of the default libraries — 2.1 M and 89.7 M entries — equals the
+    nuclide's own clamped search."""
+    library = build_library(model, LibraryConfig())
+    union = UnionizedGrid(library)
+    assert union.step_bits == 52
+    every = np.arange(union.n_union)
+    for i, nuc in enumerate(library):
+        direct = np.searchsorted(nuc.energy, union.energy, "right") - 1
+        np.clip(direct, 0, nuc.n_points - 2, out=direct)
+        assert np.array_equal(union.nuclide_indices(i, every), direct), nuc.name

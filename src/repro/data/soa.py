@@ -127,7 +127,7 @@ class SoALibrary:
         """Vectorized micro-XS for one nuclide across a bank.
 
         ``local_indices`` are interval indices within the nuclide's own grid
-        (e.g. from the unionized index matrix).  Returns
+        (e.g. from the unionized grid).  Returns
         ``(N_REACTIONS, n)``.  Unit-stride loads within each reaction row —
         the SoA payoff.
         """
@@ -143,8 +143,8 @@ class SoALibrary:
     ) -> np.ndarray:
         """Total micro-XS of *every* nuclide at one energy.
 
-        ``local_indices`` is a column of the unionized index matrix (one
-        interval index per nuclide).  This is the gather pattern of
+        ``local_indices`` is the unionized grid's answer for one union point
+        (one interval index per nuclide).  This is the gather pattern of
         vectorizing the *outer* (particle) loop transposed: one particle,
         all nuclides at once.
         """

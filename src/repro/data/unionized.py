@@ -3,91 +3,101 @@
 The dominant cost of the macroscopic cross-section kernel is the per-nuclide
 binary search of each nuclide's private energy grid.  Leppänen's unionized
 grid replaces those searches with **one** search of a global grid (the union
-of all nuclide grids) plus a precomputed index matrix mapping every union
-point to the enclosing interval of every nuclide grid — turning O(nuclides ×
-log points) searches into O(log union) + O(nuclides) gathers.
+of all nuclide grids) plus a precomputed map from every union point to the
+enclosing interval ``j`` of every nuclide grid — turning O(nuclides × log
+points) searches into O(log union) + O(nuclides) gathers.
 
-The price is memory: the index matrix is ``n_nuclides × n_union`` entries,
+The price is memory: as a matrix the map is ``n_nuclides × n_union`` entries,
 which is why Table II's "energy grid size transferred" reaches 8.37 GB for
-H.M. Large at paper fidelity.  Two things keep that price as low as the
-library allows:
+H.M. Large at paper fidelity (≈3.4e6 union points × 329 nuclides at the
+8 B/entry the offload model back-derives; :mod:`repro.machine.memory` keeps
+those paper-calibrated constants).  But a row of that matrix is a step
+function: every nuclide point is a union point, so ``j`` rises by exactly one
+at each interior point of the nuclide's grid and nowhere else.  One bit per
+entry holds the steps, and ``j`` is a rank query on them.
 
-* **Entry width from the library.**  An entry is an interval index
-  ``j <= n_points - 2`` and every consumer also forms ``j + 1``, so a
-  library whose largest nuclide grid satisfies ``n_points - 1 <= 65535``
-  (at most 65 536 points) fits both in ``uint16``; anything larger gets
-  ``int32``.  The width is a function of the library alone — no parameter,
-  no second code path — and consumers read the matrix in its native dtype,
-  widening only the few values they gather.  Table II's 8.37 GB is this
-  structure at the 8 B/entry the offload model back-derives from it
-  (≈3.4e6 union points × 329 nuclides; :mod:`repro.machine.memory` keeps
-  those paper-calibrated constants); at 2 B/entry the same structure would
-  be ≈2.2 GB whenever no nuclide grid exceeds 65 536 points.
-* **Run-length construction.**  A row is a non-decreasing step function of
-  the union index that rises by one at each interior nuclide grid point.
-  So instead of searching the nuclide grid for every union point
-  (``n_union`` queries a row), the nuclide's ``n_points - 2`` interior
-  points are located *in the union* and the row is written as runs:
-  ``np.repeat(arange(n_points - 1), diff([0, pos..., n_union]))``.  Entry
-  for entry this is ``clip(searchsorted(nuc.energy, union, "right") - 1,
-  0, n_points - 2)`` — also on a thinned union, where runs may be empty.
+**Rank words.**  The low ``W`` bits of the ``uint64`` ``words[i, w]`` are the
+step bitmap of union points ``w * W ... w * W + W - 1`` (bit ``b`` set when
+point ``w * W + b`` is an interior point of nuclide ``i``'s grid), the high
+``64 - W`` bits the number of steps before the word, so with ``word =
+words[i, u // W]``::
 
-:meth:`UnionizedGrid.nbytes` feeds the machine memory model; ``max_points``
-optionally thins the union grid (a standard fidelity/memory trade-off, also
-from Leppänen's paper).
+    j = (word >> W) + popcount(word & ((2 << (u % W)) - 1))
+
+— one gather and one popcount, and by construction ``clip(searchsorted(
+nuc.energy, union, "right") - 1, 0, n_points - 2)`` for every entry.  The
+count field must hold ``n_points - 2`` of the library's widest grid, which
+fixes ``W = 64 - max(1, (widest - 2).bit_length())`` from the library alone
+(52 for both default libraries: 1.23 bits an entry); consumers form ``j + 1``
+in ``int64``, so nothing wraps.  Rows are built one at a time, so nothing of
+``(n_nuclides, n_union)`` size ever exists.  :meth:`UnionizedGrid.nbytes`
+feeds the machine memory model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DataError
 from .library import NuclideLibrary
 
 __all__ = ["UnionizedGrid"]
 
 
 class UnionizedGrid:
-    """Union grid + per-nuclide index matrix over a library.
+    """Union grid + per-nuclide rank words over a library.
 
     Attributes
     ----------
     energy:
         The union grid [MeV], strictly increasing, shape ``(n_union,)``.
-    indices:
-        Matrix of shape ``(n_nuclides, n_union)``; entry ``[i, u]`` is the
-        interval index ``j`` of nuclide ``i`` such that
-        ``nuc.energy[j] <= energy[u] < nuc.energy[j+1]`` (clamped at the
-        ends).  A union search plus this gather replaces each nuclide's
-        binary search.  ``uint16`` when every nuclide grid has at most
-        65 536 points (so ``j`` and ``j + 1`` are both representable),
-        ``int32`` otherwise; C-contiguous, so ``indices.ravel()`` is a view
-        that every cross-section path shares.
+    step_bits:
+        ``W``: union points per word, ``64 - step_bits`` being the width of
+        a word's count field.
+    step_masks:
+        ``step_masks[r] = (2 << r) - 1``, the step bits at or below bit
+        ``r``, as a ``uint64`` table of ``W`` entries (a bank's masks are
+        one gather).
+    words:
+        ``uint64`` matrix of shape ``(n_nuclides, ceil(n_union / W))``, from
+        which :meth:`nuclide_indices` computes the interval index ``j`` of
+        nuclide ``i`` with ``nuc.energy[j] <= energy[u] < nuc.energy[j+1]``
+        (clamped at the ends).  A union search plus this rank query replaces
+        each nuclide's binary search.  C-contiguous, so ``words.ravel()`` is
+        a view that every cross-section path shares.
     """
 
-    def __init__(self, library: NuclideLibrary, max_points: int | None = None):
+    def __init__(self, library: NuclideLibrary):
         self.library = library
-        grids = [n.energy for n in library]
-        union = np.unique(np.concatenate(grids))
-        if max_points is not None and union.size > max_points:
-            if max_points < 2:
-                raise DataError("max_points must be >= 2")
-            # Thin by rank, always keeping the end points.
-            pick = np.linspace(0, union.size - 1, max_points).round().astype(int)
-            union = union[np.unique(pick)]
-        self.energy = np.ascontiguousarray(union)
+        self.energy = np.unique(np.concatenate([n.energy for n in library]))
+        self._interior = self.energy[1:-1]
         n_union = self.energy.size
         widest = max(n.n_points for n in library)
-        dtype = np.uint16 if widest - 1 <= np.iinfo(np.uint16).max else np.int32
-        self.indices = np.empty((len(library), n_union), dtype=dtype)
-        intervals = np.arange(widest - 1, dtype=dtype)
-        for i, nuc in enumerate(library):
-            # Interval j covers union points [pos[j], pos[j+1]), pos[k] being
-            # the first union point >= nuc.energy[k]; the first and last
-            # intervals run to the ends of the union (the clamps).
-            pos = np.searchsorted(self.energy, nuc.energy[1:-1], side="left")
-            runs = np.diff(pos, prepend=0, append=n_union)
-            self.indices[i] = np.repeat(intervals[: nuc.n_points - 1], runs)
+        w = self.step_bits = 64 - max(1, (widest - 2).bit_length())
+        n_words = -(-n_union // w)
+        self.words = np.empty((len(library), n_words), dtype=np.uint64)
+        self.step_masks = (
+            np.uint64(2) << np.arange(w, dtype=np.uint64)
+        ) - np.uint64(1)
+        # One row's temporaries, reused: a byte per step bit, and the packed
+        # bits of each word padded to eight bytes.
+        bits = np.zeros(n_words * w, dtype=np.uint8)
+        packed = np.zeros((n_words, 8), dtype=np.uint8)
+        for row, nuc in zip(self.words, library):
+            # Every nuclide point is a union point: its interior points are
+            # exactly where the row's ``j`` steps.
+            pos = np.searchsorted(self.energy, nuc.energy[1:-1])
+            bits[pos] = 1
+            packed[:, : -(-w // 8)] = np.packbits(
+                bits.reshape(n_words, w), axis=1, bitorder="little"
+            )
+            bits[pos] = 0
+            # Little-endian bit order within little-endian bytes: bit ``b``
+            # of the word is step ``b``, whatever the host's byte order.
+            steps = packed.view("<u8").ravel()
+            row[0] = 0
+            np.cumsum(np.bitwise_count(steps[:-1]), out=row[1:])
+            row <<= np.uint64(w)
+            row |= steps
 
     # -- Introspection --------------------------------------------------------
 
@@ -98,29 +108,36 @@ class UnionizedGrid:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the union grid + index matrix (memory-model input)."""
-        return int(self.energy.nbytes + self.indices.nbytes)
+        """Bytes of the union grid + rank words (memory-model input)."""
+        return int(self.energy.nbytes + self.words.nbytes)
 
     # -- Searches ---------------------------------------------------------------
 
+    # The interval ``u`` with ``energy[u] <= e < energy[u + 1]``, clamped into
+    # ``[0, n_union - 2]``, is the number of *interior* points at or below
+    # ``e``: none below the grid, all ``n_union - 2`` above it — one search,
+    # no clamps.
+
     def search(self, energy: float) -> int:
         """Single binary search of the union grid."""
-        u = int(np.searchsorted(self.energy, energy, side="right")) - 1
-        return min(max(u, 0), self.n_union - 2)
+        return int(self._interior.searchsorted(energy, side="right"))
 
     def search_many(self, energies: np.ndarray) -> np.ndarray:
         """Vectorized union-grid search for a bank of energies."""
-        u = self.energy.searchsorted(energies, side="right") - 1
-        np.minimum(u, self.energy.size - 2, out=u)
-        np.maximum(u, 0, out=u)
-        return u
+        return self._interior.searchsorted(energies, side="right")
 
     def nuclide_index(self, nuclide_id: int, union_index: int) -> int:
-        """Gather the precomputed per-nuclide interval for a union point."""
-        return int(self.indices[nuclide_id, union_index])
+        """The per-nuclide interval of a union point: one rank query."""
+        q, r = divmod(union_index, self.step_bits)
+        word = int(self.words[nuclide_id, q])
+        return (word >> self.step_bits) + (word & ((2 << r) - 1)).bit_count()
 
-    def nuclide_indices(
-        self, nuclide_id: int, union_indices: np.ndarray
-    ) -> np.ndarray:
-        """Vectorized :meth:`nuclide_index` over a bank."""
-        return self.indices[nuclide_id, union_indices]
+    def nuclide_indices(self, nuclide_id, union_indices) -> np.ndarray:
+        """Vectorized :meth:`nuclide_index`, ``int64``; the nuclide ids and
+        the union indices broadcast against each other."""
+        q, r = np.divmod(union_indices, self.step_bits)
+        word = self.words[nuclide_id, q]
+        j = (word >> np.uint64(self.step_bits)) + np.bitwise_count(
+            word & self.step_masks[r]
+        )
+        return j.astype(np.int64)

@@ -87,7 +87,7 @@ def run(scale: Scale) -> ExperimentResult:
     rows.append(
         {
             "operation": "ACTUAL python union grid (reduced fidelity)",
-            "modelled": f"{union.nbytes / 1e6:.1f} MB",
+            "modelled": f"{union.nbytes / 1e6:.2f} MB",
         }
     )
 

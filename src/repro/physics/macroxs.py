@@ -64,8 +64,8 @@ class MacroXS:
 
 class TileWorkspace:
     """Reusable scratch for the ``(n_nuclides, N)`` matrices of one banked
-    call: two int64 index buffers, one buffer in the union matrix's entry
-    dtype, six float64 buffers — 66 B per element with a ``uint16`` matrix.
+    call: two int64 index buffers, one uint8 popcount buffer, six float64
+    buffers — 65 B per element.
 
     The buffers are flat ``np.empty`` arrays grown lazily to the largest
     request (rounded up to a power of two, so a request a few elements
@@ -77,27 +77,24 @@ class TileWorkspace:
     returned to a caller outside the kernel layer.
     """
 
-    __slots__ = ("_dtypes", "_buffers", "_size")
+    __slots__ = ("_buffers", "_size")
 
-    def __init__(self, index_dtype) -> None:
-        self._dtypes = (
-            [np.dtype(np.int64)] * 2
-            + [np.dtype(index_dtype)]
-            + [np.dtype(np.float64)] * 6
-        )
+    _DTYPES = (np.int64,) * 2 + (np.uint8,) + (np.float64,) * 6
+
+    def __init__(self) -> None:
         self._buffers: list[np.ndarray] = []
         self._size = -1
 
     def views(self, n_nuc: int, n: int) -> list[np.ndarray]:
         """Nine C-contiguous ``(n_nuc, n)`` views: two int64 position
-        matrices, the index-dtype matrix, two float64 interpolation
+        matrices, the uint8 popcount matrix, two float64 interpolation
         matrices, three float64 reaction matrices, one float64 scratch."""
         size = n_nuc * n
         if size > self._size:
             # Drop the old buffers first so growth never holds both sets.
             self._buffers = []
             self._size = 1 << max(size - 1, 0).bit_length()
-            self._buffers = [np.empty(self._size, dtype=d) for d in self._dtypes]
+            self._buffers = [np.empty(self._size, dtype=d) for d in self._DTYPES]
         return [buf[:size].reshape(n_nuc, n) for buf in self._buffers]
 
 
@@ -150,6 +147,7 @@ class MaterialPlan:
         "urr_entries",
         "urr_emin",
         "urr_emax",
+        "union_rowoff",
         "union_rowoff_col",
     )
 
@@ -182,16 +180,14 @@ class MaterialPlan:
         # range check per bank instead of a ``contains`` call per nuclide).
         self.urr_emin = np.array([t.emin for _, t in self.urr_entries])
         self.urr_emax = np.array([t.emax for _, t in self.urr_entries])
-        # Flat row offsets into the union index matrix, so the hot gather is
-        # a single ``take`` out of the raveled matrix instead of 2-D fancy
-        # indexing (same elements, lower dispatch cost).
+        # Flat row offsets into the union grid's rank words, so the hot
+        # gather is a single ``take`` out of the raveled words instead of
+        # 2-D fancy indexing (same elements, lower dispatch cost).
         if calc.union is not None:
-            n_union = calc.union.indices.shape[1]
-            self.union_rowoff_col = (
-                ids.astype(np.int64) * n_union
-            )[:, None]
+            self.union_rowoff = ids.astype(np.int64) * calc.union.words.shape[1]
+            self.union_rowoff_col = self.union_rowoff[:, None]
         else:
-            self.union_rowoff_col = None
+            self.union_rowoff = self.union_rowoff_col = None
 
 
 class XSCalculator:
@@ -234,14 +230,12 @@ class XSCalculator:
         # id(material) -> MaterialPlan; the plan's material reference keeps
         # the id stable for the cache's lifetime.
         self._plans: dict[int, MaterialPlan] = {}
-        self._union_indices_flat = (
-            union.indices.ravel() if union is not None else None
-        )
+        if union is not None:
+            self._union_words_flat = union.words.ravel()
+            self._union_shift = np.uint64(union.step_bits)
         #: Scratch matrices every banked and attribution call runs on; the
         #: compiled-kernel proxy writes into the same ones.
-        self.workspace = TileWorkspace(
-            union.indices.dtype if union is not None else np.int64
-        )
+        self.workspace = TileWorkspace()
 
     def material_plan(self, material: Material) -> MaterialPlan:
         """Cached :class:`MaterialPlan` for a material (built on first use)."""
@@ -257,28 +251,42 @@ class XSCalculator:
         energies: np.ndarray,
         flat: np.ndarray,
         local: np.ndarray,
+        count: np.ndarray,
     ) -> np.ndarray:
-        """Fill ``local`` with the interval indices within each material
-        nuclide's own grid, shape ``(n_nuclides_in_material, N)``.
+        """Fill the int64 ``local`` with the interval indices within each
+        material nuclide's own grid, shape ``(n_nuclides_in_material, N)``.
 
-        With a union grid this is a single search plus one fused gather out
-        of the raveled index matrix, in the matrix's native dtype (callers
-        add int64 SoA offsets, which widens the gathered values only);
-        ``flat`` is int64 scratch for the gather positions.  Without one it
-        falls back to per-nuclide binary searches.
+        With a union grid this is a single search, one fused gather out of
+        the raveled rank words and their rank arithmetic (see
+        :mod:`repro.data.unionized`): ``flat`` is int64 scratch for the
+        gather positions and then the masked step bits, ``count`` uint8
+        scratch for their popcounts.  Without one it falls back to
+        per-nuclide binary searches.
         """
-        if self.union is not None:
-            u = self.union.search_many(energies)
-            np.add(plan.union_rowoff_col, u[None, :], out=flat)
-            # ``search_many`` clamps ``u`` into the row, so no position can
-            # leave the matrix and the unbuffered clip mode never clips.
-            return self._union_indices_flat.take(flat, out=local, mode="clip")
-        for k, nuc in enumerate(plan.nuclides):
-            local[k] = nuc.find_index_many(energies)
+        if self.union is None:
+            for k, nuc in enumerate(plan.nuclides):
+                local[k] = nuc.find_index_many(energies)
+            return local
+        union = self.union
+        q, r = np.divmod(union.search_many(energies), union.step_bits)
+        np.add(plan.union_rowoff_col, q, out=flat)
+        # ``search_many`` clamps ``u`` into the row, so no position can
+        # leave the words and the unbuffered clip mode never clips.
+        words = self._union_words_flat.take(
+            flat, out=local.view(np.uint64), mode="clip"
+        )
+        steps = np.bitwise_and(
+            words, union.step_masks.take(r), out=flat.view(np.uint64)
+        )
+        np.bitwise_count(steps, out=count)
+        # ``words`` is ``local``'s memory: what the shift leaves there is the
+        # count fields, already int64.
+        words >>= self._union_shift
+        local += count
         return local
 
     def _bracket(
-        self, plan: MaterialPlan, energies: np.ndarray, ia, ib, loc, fa, fb
+        self, plan: MaterialPlan, energies: np.ndarray, ia, ib, count, fa, fb
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The gather prologue shared by the lookup and the attribution:
         flat SoA positions of each lane's bracketing grid points and the
@@ -289,7 +297,7 @@ class XSCalculator:
         would silently read a neighbouring entry where ``mode="raise"``
         raises; the explicit range check below restores the raise.
         """
-        local = self._local_indices(plan, energies, ia, loc)
+        local = self._local_indices(plan, energies, ia, ib, count)
         idx = np.add(plan.offsets_col, local, out=ia)
         idx1 = np.add(idx, 1, out=ib)
         grid = self.soa.energy
@@ -337,16 +345,22 @@ class XSCalculator:
         filled with each nuclide's contribution to the total macroscopic
         cross section — the weights for collision-nuclide sampling.
         """
-        ids, rho = material.resolve(self.library)
+        plan = self.material_plan(material)
+        ids, rho = plan.ids, plan.rho
         n = ids.shape[0]
         if self.union is not None:
-            u = self.union.search(energy)
+            # One flat gather of the material's rank words per lookup; the
+            # rank arithmetic below runs on Python ints.
+            step_bits = self.union.step_bits
+            q, r = divmod(self.union.search(energy), step_bits)
+            upto = (2 << r) - 1
+            words = self._union_words_flat.take(plan.union_rowoff + q).tolist()
         total = elastic = capture = fission = nu_fission = 0.0
         for k in range(n):
             nid = int(ids[k])
             nuc = self.library[nid]
             if self.union is not None:
-                idx = int(self.union.indices[nid, u])
+                idx = (words[k] >> step_bits) + (words[k] & upto).bit_count()
             else:
                 idx = nuc.find_index(energy)
             micro = nuc.micro_xs(energy, index=idx)
@@ -477,7 +491,7 @@ class XSCalculator:
         rho = plan.rho
         n_nuc = plan.n_nuclides
         n = energies.shape[0]
-        ia, ib, loc, fa, fb, m_el_mat, m_cap_mat, m_fis_mat, contrib = (
+        ia, ib, count, fa, fb, m_el_mat, m_cap_mat, m_fis_mat, contrib = (
             self.workspace.views(n_nuc, n)
         )
         if self.layout == "soa":
@@ -485,7 +499,7 @@ class XSCalculator:
             # n_nuc small per-nuclide gathers.
             soa = self.soa
             idx, idx1, f, g = self._bracket(
-                plan, energies, ia, ib, loc, fa, fb
+                plan, energies, ia, ib, count, fa, fb
             )
             for reaction, out in (
                 (Reaction.ELASTIC, m_el_mat),
@@ -497,7 +511,7 @@ class XSCalculator:
             # AoS ablation: keep the per-nuclide strided gathers (that cost
             # is the point of the layout comparison) but share the workspace
             # and the fused correction/accumulation code below.
-            local = self._local_indices(plan, energies, ia, loc)
+            local = self._local_indices(plan, energies, ia, ib, count)
             for k in range(n_nuc):
                 micro = self.aos.micro_xs_gather(
                     int(plan.ids[k]), energies, local[k]
@@ -613,7 +627,7 @@ class XSCalculator:
         out = np.empty(n)
         for j in range(n):
             u = self.union.search(float(energies[j]))
-            local = self.union.indices[ids, u]
+            local = self.union.nuclide_indices(ids, u)
             micro_tot = self.soa.micro_total_across_nuclides(
                 float(energies[j]), self.soa_local_indices(ids, local)
             )
@@ -670,8 +684,10 @@ class XSCalculator:
         # Fused SoA gather of the one requested reaction row across all the
         # material's nuclides at once (always SoA — attribution is shared
         # infrastructure, not part of the layout ablation).
-        ia, ib, loc, fa, fb, out, hi = self.workspace.views(n_nuc, n)[:7]
-        idx, idx1, f, g = self._bracket(plan, energies, ia, ib, loc, fa, fb)
+        ia, ib, count, fa, fb, out, hi = self.workspace.views(n_nuc, n)[:7]
+        idx, idx1, f, g = self._bracket(
+            plan, energies, ia, ib, count, fa, fb
+        )
         self._interpolate(self.soa.xs[reaction], idx, idx1, f, g, out, hi)
         self._finish_attribution(plan, energies, reaction, out, counters)
         return out

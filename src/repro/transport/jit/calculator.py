@@ -132,7 +132,7 @@ class JitXSCalculator:
         energies = np.ascontiguousarray(energies, dtype=np.float64)
         plan = calc.material_plan(material)
         lib = library_view(calc)
-        pv = plan_view(calc, plan)
+        pv = plan_view(plan)
         n_nuc = plan.n_nuclides
         n = energies.shape[0]
 
@@ -142,7 +142,8 @@ class JitXSCalculator:
         xs_gather3(
             energies,
             lib.union_energy,
-            lib.union_indices_flat,
+            lib.union_words_flat,
+            lib.union_step_bits,
             pv.union_rowoff,
             pv.offsets,
             lib.energy,
@@ -231,7 +232,7 @@ class JitXSCalculator:
         )
         plan = calc.material_plan(material)
         lib = library_view(calc)
-        pv = plan_view(calc, plan)
+        pv = plan_view(plan)
         if reaction == Reaction.ELASTIC:
             row = lib.elastic
         elif reaction == Reaction.CAPTURE:
@@ -242,7 +243,8 @@ class JitXSCalculator:
         xs_gather1(
             energies,
             lib.union_energy,
-            lib.union_indices_flat,
+            lib.union_words_flat,
+            lib.union_step_bits,
             pv.union_rowoff,
             pv.offsets,
             lib.energy,

@@ -22,7 +22,9 @@ to the NumPy path it replaces:
 
 The kernels mirror, line for line:
 
-* :func:`xs_gather3` — ``XSCalculator._local_indices`` (union-grid branch)
+* :func:`xs_gather3` — ``XSCalculator._local_indices`` (union-grid branch:
+  one rank word per nuclide, count field plus :func:`popcount64` of the
+  step bits up to the union point — integer work, exact in any order)
   fused with the SoA three-row gather/interpolation block of
   ``XSCalculator.banked``;
 * :func:`xs_gather1` — the one-row gather of
@@ -40,16 +42,43 @@ bottom of the transport stack and imports nothing above it (the
 
 from __future__ import annotations
 
-from .shim import njit
+import numpy as np
 
-__all__ = ["xs_gather3", "xs_gather1", "accumulate_macro"]
+from .shim import njit, njit_callee
+
+__all__ = ["popcount64", "xs_gather3", "xs_gather1", "accumulate_macro"]
+
+# The rank arithmetic keeps every operand ``uint64``: numba unifies a
+# ``uint64``/``int64`` pair to ``float64``, and NumPy scalars would too.
+_ONE, _TWO, _FOUR = np.uint64(1), np.uint64(2), np.uint64(4)
+_EIGHT, _SIXTEEN, _THIRTY_TWO = np.uint64(8), np.uint64(16), np.uint64(32)
+_EVERY_2ND_BIT = np.uint64(0x5555555555555555)
+_EVERY_2ND_PAIR = np.uint64(0x3333333333333333)
+_EVERY_2ND_NIBBLE = np.uint64(0x0F0F0F0F0F0F0F0F)
+_EVERY_2ND_BYTE = np.uint64(0x00FF00FF00FF00FF)
+_EVERY_2ND_SHORT = np.uint64(0x0000FFFF0000FFFF)
+_LOW_HALF = np.uint64(0x00000000FFFFFFFF)
+
+
+@njit_callee
+def popcount64(x):
+    """Number of set bits of a ``uint64``: six shift/and/add folds (adjacent
+    bits, pairs, nibbles, ...), so the ``@njit`` form and the pure-Python
+    twin run one source and nothing can overflow."""
+    x = (x & _EVERY_2ND_BIT) + ((x >> _ONE) & _EVERY_2ND_BIT)
+    x = (x & _EVERY_2ND_PAIR) + ((x >> _TWO) & _EVERY_2ND_PAIR)
+    x = (x & _EVERY_2ND_NIBBLE) + ((x >> _FOUR) & _EVERY_2ND_NIBBLE)
+    x = (x & _EVERY_2ND_BYTE) + ((x >> _EIGHT) & _EVERY_2ND_BYTE)
+    x = (x & _EVERY_2ND_SHORT) + ((x >> _SIXTEEN) & _EVERY_2ND_SHORT)
+    return (x & _LOW_HALF) + (x >> _THIRTY_TWO)
 
 
 @njit
 def xs_gather3(
     energies,
     union_energy,
-    union_indices_flat,
+    union_words_flat,
+    union_step_bits,
     union_rowoff,
     offsets,
     soa_energy,
@@ -64,14 +93,16 @@ def xs_gather3(
 
     For each particle ``j``: one binary search of the union grid
     (``searchsorted(..., side="right") - 1`` semantics, clipped), then for
-    each material nuclide ``k`` a gather of the bracketing grid points and
-    the linear interpolation ``lo*g + hi*f`` into the ``(n_nuc, N)``
+    each material nuclide ``k`` the rank query of its word (see
+    :mod:`repro.data.unionized`), a gather of the bracketing grid points
+    and the linear interpolation ``lo*g + hi*f`` into the ``(n_nuc, N)``
     output matrices.  Loop order is particle-outer so an energy-banded
     tile walks each nuclide's grid near-sequentially.
     """
     n = energies.shape[0]
     n_nuc = offsets.shape[0]
     n_union = union_energy.shape[0]
+    shift = np.uint64(union_step_bits)
     for j in range(n):
         e = energies[j]
         # Binary search: bisect_right(union_energy, e) - 1, clipped into
@@ -89,11 +120,12 @@ def xs_gather3(
             u = 0
         elif u > n_union - 2:
             u = n_union - 2
+        q = u // union_step_bits
+        upto = (_TWO << np.uint64(u % union_step_bits)) - _ONE
         for k in range(n_nuc):
-            # ``local`` has the matrix's native width (uint16/int32); the
-            # int64 offset widens the sum, so ``idx + 1`` cannot wrap.
-            local = union_indices_flat[union_rowoff[k] + u]
-            idx = offsets[k] + local
+            word = union_words_flat[union_rowoff[k] + q]
+            local = (word >> shift) + popcount64(word & upto)
+            idx = offsets[k] + np.int64(local)
             e0 = soa_energy[idx]
             e1 = soa_energy[idx + 1]
             den = e1 - e0
@@ -113,7 +145,8 @@ def xs_gather3(
 def xs_gather1(
     energies,
     union_energy,
-    union_indices_flat,
+    union_words_flat,
+    union_step_bits,
     union_rowoff,
     offsets,
     soa_energy,
@@ -124,6 +157,7 @@ def xs_gather1(
     n = energies.shape[0]
     n_nuc = offsets.shape[0]
     n_union = union_energy.shape[0]
+    shift = np.uint64(union_step_bits)
     for j in range(n):
         e = energies[j]
         lo = 0
@@ -139,9 +173,12 @@ def xs_gather1(
             u = 0
         elif u > n_union - 2:
             u = n_union - 2
+        q = u // union_step_bits
+        upto = (_TWO << np.uint64(u % union_step_bits)) - _ONE
         for k in range(n_nuc):
-            local = union_indices_flat[union_rowoff[k] + u]
-            idx = offsets[k] + local
+            word = union_words_flat[union_rowoff[k] + q]
+            local = (word >> shift) + popcount64(word & upto)
+            idx = offsets[k] + np.int64(local)
             e0 = soa_energy[idx]
             e1 = soa_energy[idx + 1]
             den = e1 - e0

@@ -28,7 +28,13 @@ from __future__ import annotations
 import importlib.util
 from time import perf_counter
 
-__all__ = ["HAVE_NUMBA", "njit", "jit_status", "reset_compile_times"]
+__all__ = [
+    "HAVE_NUMBA",
+    "njit",
+    "njit_callee",
+    "jit_status",
+    "reset_compile_times",
+]
 
 #: True when the numba package is importable in this environment.
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
@@ -74,15 +80,20 @@ if HAVE_NUMBA:
     def njit(func):
         """Compile ``func`` in nopython mode with deterministic float
         semantics (no fastmath, on-disk cache) and first-call timing."""
-        return _timed_first_call(
-            _numba.njit(func, cache=True, fastmath=False)
-        )
+        return _timed_first_call(njit_callee(func))
+
+    def njit_callee(func):
+        """:func:`njit` for a helper the kernels call: the bare dispatcher,
+        because compiled code cannot call the timing wrapper."""
+        return _numba.njit(func, cache=True, fastmath=False)
 
 else:
 
     def njit(func):
         """Identity decorator: the kernel body stays a plain-Python twin."""
         return func
+
+    njit_callee = njit
 
 
 def jit_status() -> dict:

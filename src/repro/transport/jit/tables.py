@@ -4,14 +4,14 @@ The compiled kernels take plain contiguous typed arrays — no Python
 objects — so this module flattens the pieces the NumPy path
 reaches through attribute chains (:class:`~repro.data.soa.SoALibrary`
 rows, :class:`~repro.physics.macroxs.MaterialPlan` offsets, the unionized
-index matrix) into two ``NamedTuple`` views:
+grid's rank words) into two ``NamedTuple`` views:
 
 * :class:`LibraryView` — one per :class:`XSCalculator`: the flat union
-  energy grid, the raveled per-nuclide index matrix, the concatenated SoA
-  energy grid, and the three reaction rows the transport kernels gather
-  (elastic / capture / fission).
+  energy grid, the raveled per-nuclide rank words and their step-bit count,
+  the concatenated SoA energy grid, and the three reaction rows the
+  transport kernels gather (elastic / capture / fission).
 * :class:`PlanView` — one per cached ``MaterialPlan``: dense offsets, row
-  offsets into the raveled union matrix, densities, and the fission
+  offsets into the raveled rank words, densities, and the fission
   metadata the accumulation kernel folds in.
 
 NamedTuples of arrays are a natural numba argument type (each field lowers
@@ -40,10 +40,10 @@ class LibraryView(NamedTuple):
 
     #: Union energy grid (the binary-search target), shape ``(n_union,)``.
     union_energy: np.ndarray
-    #: Raveled ``(n_nuclides * n_union,)`` per-nuclide interval matrix, a
-    #: view of ``calc.union.indices`` in its native dtype (``uint16`` or
-    #: ``int32``); the kernels widen each gathered entry, never the matrix.
-    union_indices_flat: np.ndarray
+    #: Raveled ``uint64`` rank words, a view of ``calc.union.words``, and
+    #: the number of step bits in each (``calc.union.step_bits``).
+    union_words_flat: np.ndarray
+    union_step_bits: int
     #: Concatenated per-nuclide energy grids (SoA), ``(total_points,)``.
     energy: np.ndarray
     #: The three gathered reaction rows, each ``(total_points,)``.
@@ -57,7 +57,7 @@ class PlanView(NamedTuple):
 
     #: Start of each material nuclide's grid in the flat SoA arrays.
     offsets: np.ndarray
-    #: Row offsets into the raveled union index matrix (``ids * n_union``).
+    #: Row offsets into the raveled rank words (``ids * words_per_row``).
     union_rowoff: np.ndarray
     #: Atom densities aligned with ``offsets``.
     rho: np.ndarray
@@ -80,7 +80,8 @@ def library_view(calc: XSCalculator) -> LibraryView:
     soa = calc.soa
     view = LibraryView(
         union_energy=np.ascontiguousarray(calc.union.energy),
-        union_indices_flat=np.ascontiguousarray(calc.union.indices.ravel()),
+        union_words_flat=np.ascontiguousarray(calc.union.words.ravel()),
+        union_step_bits=calc.union.step_bits,
         energy=np.ascontiguousarray(soa.energy),
         elastic=np.ascontiguousarray(soa.xs[Reaction.ELASTIC]),
         capture=np.ascontiguousarray(soa.xs[Reaction.CAPTURE]),
@@ -90,17 +91,14 @@ def library_view(calc: XSCalculator) -> LibraryView:
     return view
 
 
-def plan_view(calc: XSCalculator, plan: MaterialPlan) -> PlanView:
+def plan_view(plan: MaterialPlan) -> PlanView:
     """Cached :class:`PlanView` of one material's plan."""
     cached = _PLAN_VIEWS.get(id(plan))
     if cached is not None:
         return cached[1]
-    n_union = calc.union.indices.shape[1]
     view = PlanView(
         offsets=np.ascontiguousarray(plan.offsets.astype(np.int64, copy=False)),
-        union_rowoff=np.ascontiguousarray(
-            plan.ids.astype(np.int64) * np.int64(n_union)
-        ),
+        union_rowoff=np.ascontiguousarray(plan.union_rowoff),
         rho=np.ascontiguousarray(plan.rho),
         fissionable=np.ascontiguousarray(plan.fissionable.astype(np.bool_)),
         nu0=np.ascontiguousarray(plan.nu0),

@@ -38,6 +38,7 @@ from repro.transport.jit import (
 )
 from repro.transport.jit.kernels import (
     accumulate_macro,
+    popcount64,
     xs_gather1,
     xs_gather3,
 )
@@ -198,12 +199,12 @@ class TestKernels:
     def _matrices(self, calc, fuel, energies):
         plan = calc.material_plan(fuel)
         lib = library_view(calc)
-        pv = plan_view(calc, plan)
+        pv = plan_view(plan)
         n_nuc, n = plan.n_nuclides, energies.shape[0]
         mats = [np.empty((n_nuc, n)) for _ in range(3)]
         xs_gather3(
-            energies, lib.union_energy, lib.union_indices_flat,
-            pv.union_rowoff, pv.offsets, lib.energy,
+            energies, lib.union_energy, lib.union_words_flat,
+            lib.union_step_bits, pv.union_rowoff, pv.offsets, lib.energy,
             lib.elastic, lib.capture, lib.fission, *mats,
         )
         return plan, pv, mats
@@ -250,26 +251,76 @@ class TestKernels:
         lib = library_view(calc)
         out = np.empty_like(m_el)
         xs_gather1(
-            e, lib.union_energy, lib.union_indices_flat,
+            e, lib.union_energy, lib.union_words_flat, lib.union_step_bits,
             pv.union_rowoff, pv.offsets, lib.energy, lib.elastic, out,
         )
         np.testing.assert_array_equal(out, m_el)
 
+    def test_rank_query_across_word_seams(self, calc, fuel):
+        """The kernel's ``j`` for a tile straddling word seams (last bit of
+        a word, first of the next, the partial last word) equals the NumPy
+        rank query and each nuclide's own search.  ``j`` is read off the
+        kernel through a probe: against an energy grid far below every
+        particle the interpolation clamps to ``row[idx + 1]``, and the row
+        is ``arange``."""
+        union = calc.union
+        w = union.step_bits
+        assert union.n_union > 2 * w and union.n_union % w not in (0, 1)
+        u = np.r_[w - 2 : w + 2, 2 * w - 1, 2 * w, union.n_union - 2]
+        e = union.energy[u]
+        np.testing.assert_array_equal(union.search_many(e), u)
+        plan = calc.material_plan(fuel)
+        lib = library_view(calc)
+        pv = plan_view(plan)
+        points = lib.energy.shape[0]
+        out = np.empty((plan.n_nuclides, e.shape[0]))
+        xs_gather1(
+            e, lib.union_energy, lib.union_words_flat, lib.union_step_bits,
+            pv.union_rowoff, pv.offsets, np.arange(-points, 0.0),
+            np.arange(float(points)), out,
+        )
+        np.testing.assert_array_equal(out, out.astype(np.int64))
+        j = out.astype(np.int64) - 1 - pv.offsets[:, None]
+        np.testing.assert_array_equal(
+            j, union.nuclide_indices(plan.ids_col, u)
+        )
+        np.testing.assert_array_equal(
+            j, [nuc.find_index_many(e) for nuc in plan.nuclides]
+        )
+
     def test_views_are_cached(self, calc, fuel):
         plan = calc.material_plan(fuel)
         assert library_view(calc) is library_view(calc)
-        assert plan_view(calc, plan) is plan_view(calc, plan)
+        assert plan_view(plan) is plan_view(plan)
 
-    def test_library_view_aliases_the_index_matrix(self, calc):
-        """The kernels read the one matrix the NumPy path reads — native
-        dtype, no widened copy."""
+    def test_library_view_aliases_the_rank_words(self, calc):
+        """The kernels read the very words the NumPy path reads — no copy."""
         view = library_view(calc)
-        assert view.union_indices_flat.dtype == calc.union.indices.dtype
-        assert np.shares_memory(view.union_indices_flat, calc.union.indices)
+        assert view.union_words_flat.dtype == np.uint64
+        assert view.union_step_bits == calc.union.step_bits
+        assert np.shares_memory(view.union_words_flat, calc.union.words)
 
     def test_library_view_requires_union(self, small_library):
         with pytest.raises(ValueError, match="union"):
             library_view(XSCalculator(small_library, None))
+
+
+class TestPopcount:
+    """The kernels' popcount helper against ``int.bit_count``."""
+
+    def test_matches_int_bit_count(self, calc):
+        w = calc.union.step_bits
+        rng = np.random.default_rng(64)
+        words = np.r_[
+            np.array([0, 2**64 - 1, 1 << (w - 1)], dtype=np.uint64),
+            rng.integers(0, 2**64, 10_000, dtype=np.uint64),
+        ]
+        for word in words:
+            count = popcount64(word)
+            assert count == int(word).bit_count()
+            # numba returns a Python int; the twin must not leave uint64
+            # (a float64 here would be the int64-operand mistake).
+            assert isinstance(count, (int, np.uint64))
 
 
 class TestJitStatus:

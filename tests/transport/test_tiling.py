@@ -326,27 +326,31 @@ class TestWorkspace:
     def test_workspace_grows_to_the_largest_request_only(self, calc, fuel):
         calc.banked(fuel, np.geomspace(1e-8, 1.0, 50))
         buffers = [b.ctypes.data for b in calc.workspace._buffers]
-        assert sum(b.itemsize for b in calc.workspace._buffers) == 66
+        assert sum(b.itemsize for b in calc.workspace._buffers) == 65
         calc.banked(fuel, np.geomspace(1e-8, 1.0, 7))
         calc.attribution_weights(fuel, np.array([1e-3]), Reaction.CAPTURE)
         assert [b.ctypes.data for b in calc.workspace._buffers] == buffers
 
     @pytest.mark.parametrize("n", [1, 6])
     def test_corrupt_index_matrix_raises_instead_of_clipping(
-        self, small_library, fuel, n
+        self, small_library, small_union, n
     ):
+        """One rank word's count field at its maximum, on the nuclide that
+        ends the SoA arrays: the interval lies past them, which a clip-mode
+        gather alone would read as the last grid point."""
         union = UnionizedGrid(small_library)  # private copy to corrupt
         calc = XSCalculator(small_library, union, use_urr=False)
+        water = make_ctx(small_library, small_union).material(2)
+        last = len(small_library) - 1
+        assert last in water.resolve(small_library)[0]
         e = np.geomspace(1e-6, 1e-2, n)
-        calc.banked(fuel, e)
-        ids, _ = fuel.resolve(small_library)
-        union.indices[ids[3], union.search(float(e[0]))] = np.iinfo(
-            union.indices.dtype
-        ).max
+        calc.banked(water, e)
+        word = union.search(float(e[0])) // union.step_bits
+        union.words[last, word] |= np.uint64(2**64 - 2**union.step_bits)
         with pytest.raises(IndexError, match="corrupt index matrix"):
-            calc.banked(fuel, e)
+            calc.banked(water, e)
         with pytest.raises(IndexError, match="corrupt index matrix"):
-            calc.attribution_weights(fuel, e, Reaction.ELASTIC)
+            calc.attribution_weights(water, e, Reaction.ELASTIC)
 
 
 class TestTracedPeak:
@@ -360,7 +364,7 @@ class TestTracedPeak:
         ctx = make_ctx(library, union)
         backend = EventBackend()
         backend.run_generation(ctx, *source(4, 4), GlobalTallies())  # plans
-        ctx.calculator.workspace = TileWorkspace(union.indices.dtype)
+        ctx.calculator.workspace = TileWorkspace()
         pos, en = source(n, 0)
         tracemalloc.start()
         try:
