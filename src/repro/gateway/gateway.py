@@ -59,13 +59,13 @@ import queue as _queue
 from collections import deque
 from pathlib import Path
 
-from ..errors import GatewayError, JobError, QueueFullError
+from ..errors import GatewayError, JobError, JournalError, QueueFullError
 from ..serve.jobs import JobResult, JobSpec
 from ..supervise.circuit import CircuitBreaker
 from ..supervise.deadline import Deadline
 from ..supervise.health import HealthMonitor
 from .admission import AdmissionController
-from .journal import WriteAheadJournal
+from .journal import JournalRecord, WriteAheadJournal
 from .results import ResultCache
 from .routing import HashRing
 from .shard import GatewayShard, ShardEvent
@@ -83,6 +83,16 @@ _IDLE_SLEEP_S = 0.005
 
 #: Consecutive poisoned jobs on one shard that trip its quarantine.
 _BREAKER_THRESHOLD = 2
+
+
+def _done_event(result: JobResult, shard_id: int, *, cached: bool) -> dict:
+    return {
+        "kind": "done",
+        "job_id": result.job_id,
+        "status": result.status,
+        "shard": shard_id,
+        "cached": cached,
+    }
 
 
 class Gateway:
@@ -118,6 +128,9 @@ class Gateway:
                 cache_dir=(
                     str(Path(cache_dir) / f"shard-{i}") if cache_dir else None
                 ),
+                # Admission is the one bound: the shard's priority queue
+                # can hold (and so orders) everything the gateway admits.
+                capacity=capacity,
                 start_method=start_method,
                 service_factory=service_factory,
             )
@@ -141,7 +154,7 @@ class Gateway:
         self.results: dict[str, JobResult] = {}
         self._specs: dict[str, JobSpec] = {}
         self._order: list[str] = []
-        self._outstanding: set[str] = set()
+        #: Admission class of every accepted, still unresolved job.
         self._admitted_class: dict[str, str] = {}
         self._job_shard: dict[str, int] = {}
         #: In-flight leader per cache key, and the followers parked on it.
@@ -200,6 +213,55 @@ class Gateway:
     def __exit__(self, *exc) -> None:
         self.shutdown(graceful=not any(exc))
 
+    # -- Journal transitions -------------------------------------------------
+    #
+    # One method per durable record kind, holding all the record means
+    # for in-memory state.  The live path appends the record and then
+    # calls the method; :meth:`recover` hands each record to the same
+    # method as the journal is read, so there is no second copy to keep
+    # in step.  ``leader-elected``, ``routed`` and ``recovered`` describe
+    # volatile scheduling state and have no transition.
+
+    def _accepted(self, spec: JobSpec) -> None:
+        self._specs[spec.job_id] = spec
+        self._order.append(spec.job_id)
+        self.counters["submitted"] += 1
+
+    def _cache_hit(self, result: JobResult) -> None:
+        self.results[result.job_id] = result
+        self.counters["cache_hits"] += 1
+        self.counters["completed"] += 1
+
+    def _completed(self, result: JobResult, shard_id: int) -> None:
+        self.results[result.job_id] = result
+        shard_key = f"shard-{shard_id}"
+        if result.status == "done":
+            self.counters["completed"] += 1
+            self.breaker.record_success(shard_key)
+            spec = self._specs.get(result.job_id)
+            if spec is not None:
+                # On replay this re-seeds the cache: identical future
+                # physics must keep hitting even if the cache tier
+                # itself was volatile.
+                self.result_cache.put(spec, result)
+        elif result.status == "poisoned":
+            self.counters["poisoned"] += 1
+            # Poison promotion: a job that deterministically kills this
+            # shard's workers may be the job's fault once — but a streak
+            # indicts the shard.
+            self.breaker.record_failure(shard_key)
+        else:
+            self.counters["failed"] += 1
+
+    def _quarantined(self, shard_id: int, n_requeued: int) -> None:
+        self.quarantined.add(shard_id)
+        self.health.mark_dead(shard_id)
+        self.counters["quarantines"] += 1
+        self.counters["requeued"] += n_requeued
+        healthy = self.n_shards - len(self.quarantined)
+        if healthy > 0:  # false only for a journal from a larger tier
+            self.admission.slots = healthy * self.workers_per_shard
+
     # -- Submission ----------------------------------------------------------
 
     def submit(self, spec: JobSpec) -> str:
@@ -218,35 +280,26 @@ class Gateway:
         self._journal_append(
             "accepted", job_id=spec.job_id, cls=cls, spec=spec.to_dict()
         )
-        self._specs[spec.job_id] = spec
-        self._order.append(spec.job_id)
-        self.counters["submitted"] += 1
+        self._accepted(spec)
+        self._place(spec, cls, front=False)
+        return spec.job_id
 
+    def _place(self, spec: JobSpec, cls: str, *, front: bool) -> None:
+        """Cache check → park behind the in-flight leader → elect and
+        route, for a spec holding one admission slot of class ``cls``."""
+        self._admitted_class[spec.job_id] = cls
         cached = self.result_cache.get(spec)
         if cached is not None:
-            # Resolved at the front door: no shard, no slot held.  The
-            # record carries the full result so recovery can restore it
-            # even if the cache directory has since been lost.
+            # Resolved at the front door: no shard runs.  The record
+            # carries the full result so recovery can restore it even if
+            # the cache directory has since been lost.
             self._journal_append(
                 "cache-hit", job_id=spec.job_id, result=cached.to_dict()
             )
-            self.admission.release(cls)
-            self.results[spec.job_id] = cached
-            self.counters["cache_hits"] += 1
-            self.counters["completed"] += 1
-            self._local_events.append(
-                {
-                    "kind": "done",
-                    "job_id": spec.job_id,
-                    "status": cached.status,
-                    "shard": -1,
-                    "cached": True,
-                }
-            )
-            return spec.job_id
-
-        self._admitted_class[spec.job_id] = cls
-        self._outstanding.add(spec.job_id)
+            self._cache_hit(cached)
+            self._release(spec.job_id)
+            self._local_events.append(_done_event(cached, -1, cached=True))
+            return
         key = self.result_cache.key_for(spec)
         if key in self._inflight:
             # Coalesce: the same physics is already running somewhere in
@@ -255,16 +308,10 @@ class Gateway:
             # still admitted occupancy.
             self._waiters.setdefault(key, []).append(spec.job_id)
             self.counters["coalesced"] += 1
-            return spec.job_id
-        self._elect_leader(key, spec.job_id)
-        self._route(spec, front=False)
-        return spec.job_id
-
-    def _elect_leader(self, key: str, job_id: str) -> None:
-        self._journal_append(
-            "leader-elected", job_id=job_id, key=key
-        )
-        self._inflight[key] = job_id
+            return
+        self._journal_append("leader-elected", job_id=spec.job_id, key=key)
+        self._inflight[key] = spec.job_id
+        self._route(spec, front=front)
 
     def _route(self, spec: JobSpec, *, front: bool) -> None:
         shard_id = self.ring.shard_for(
@@ -275,6 +322,12 @@ class Gateway:
         )
         self._job_shard[spec.job_id] = shard_id
         self.shards[shard_id].submit(spec, front=front)
+
+    def _release(self, job_id: str) -> None:
+        """A landed job is no longer unresolved and returns its slot."""
+        cls = self._admitted_class.pop(job_id, None)
+        if cls is not None:
+            self.admission.release(cls)
 
     # -- Event pump ----------------------------------------------------------
 
@@ -336,93 +389,37 @@ class Gateway:
             shard=event.shard_id,
             result=result.to_dict(),
         )
-        self.results[result.job_id] = result
-        self._outstanding.discard(result.job_id)
-        cls = self._admitted_class.pop(result.job_id, None)
-        if cls is not None:
-            self.admission.release(cls)
+        self._completed(result, event.shard_id)
+        self._release(result.job_id)
 
-        shard_key = f"shard-{event.shard_id}"
         spec = self._specs.get(result.job_id)
         key = self.result_cache.key_for(spec) if spec is not None else None
         if key is not None and self._inflight.get(key) == result.job_id:
             del self._inflight[key]
         if result.status == "done":
-            self.counters["completed"] += 1
             self.admission.note_service(result.service_seconds)
-            self.breaker.record_success(shard_key)
-            if spec is not None:
-                self.result_cache.put(spec, result)
-            if key is not None:
-                self._resolve_waiters(key)
-        elif result.status == "poisoned":
-            self.counters["poisoned"] += 1
-            # Poison promotion: a job that deterministically kills this
-            # shard's workers may be the job's fault once — but a streak
-            # indicts the shard.
-            self.breaker.record_failure(shard_key)
-            if (
-                self.breaker.is_open(shard_key)
-                and event.shard_id not in self.quarantined
-            ):
-                self.quarantine_shard(event.shard_id)
-        else:
-            self.counters["failed"] += 1
-        if result.status != "done" and key is not None:
-            self._promote_waiter(key)
-
-        return {
-            "kind": "done",
-            "job_id": result.job_id,
-            "status": result.status,
-            "shard": event.shard_id,
-            "cached": False,
-        }
+        elif (
+            result.status == "poisoned"
+            and self.breaker.is_open(f"shard-{event.shard_id}")
+            and event.shard_id not in self.quarantined
+        ):
+            self.quarantine_shard(event.shard_id)
+        if key is not None:
+            self._resolve_waiters(key)
+        return _done_event(result, event.shard_id, cached=False)
 
     def _resolve_waiters(self, key: str) -> None:
-        """Serve every follower parked on ``key`` from the fresh cache."""
-        for waiter_id in self._waiters.pop(key, []):
-            cached = self.result_cache.get(self._specs[waiter_id])
-            if cached is None:  # cache raced an eviction: rerun instead
-                self._elect_leader(key, waiter_id)
-                self._route(self._specs[waiter_id], front=True)
-                continue
-            self._journal_append(
-                "cache-hit", job_id=waiter_id, result=cached.to_dict()
-            )
-            self.results[waiter_id] = cached
-            self._outstanding.discard(waiter_id)
-            cls = self._admitted_class.pop(waiter_id, None)
-            if cls is not None:
-                self.admission.release(cls)
-            self.counters["cache_hits"] += 1
-            self.counters["completed"] += 1
-            self._local_events.append(
-                {
-                    "kind": "done",
-                    "job_id": waiter_id,
-                    "status": cached.status,
-                    "shard": -1,
-                    "cached": True,
-                }
-            )
+        """The leader for ``key`` landed: place its followers again.
 
-    def _promote_waiter(self, key: str) -> None:
-        """The leader for ``key`` failed: its followers must not hang.
-
-        The first parked follower becomes the new leader and actually
-        runs (front of its class — it has already waited its turn); the
-        rest stay parked behind it.
+        Front of their class — they have already waited their turn.  A
+        ``done`` leader has just seeded the cache, which answers them
+        all.  When it cannot (the leader failed, or its entry raced an
+        eviction) followers must not hang: the first becomes the new
+        leader and actually runs, the rest park behind it.
         """
-        waiters = self._waiters.get(key)
-        if not waiters:
-            self._waiters.pop(key, None)
-            return
-        new_leader = waiters.pop(0)
-        if not waiters:
-            del self._waiters[key]
-        self._elect_leader(key, new_leader)
-        self._route(self._specs[new_leader], front=True)
+        for waiter_id in self._waiters.pop(key, []):
+            cls = self._admitted_class[waiter_id]
+            self._place(self._specs[waiter_id], cls, front=True)
 
     # -- Quarantine ----------------------------------------------------------
 
@@ -449,13 +446,8 @@ class Gateway:
             shard=shard_id,
             requeued=[spec.job_id for spec in requeue],
         )
-        self.quarantined.add(shard_id)
-        self.health.mark_dead(shard_id)
-        self.counters["quarantines"] += 1
-        healthy = self.n_shards - len(self.quarantined)
-        self.admission.slots = healthy * self.workers_per_shard
+        self._quarantined(shard_id, len(requeue))
         for spec in requeue:
-            self.counters["requeued"] += 1
             self._route(spec, front=True)
         return True
 
@@ -469,22 +461,27 @@ class Gateway:
     def recover(self) -> dict:
         """Replay the journal and resume where the dead incarnation died.
 
+        Each record goes, as it is read, to the transition method the
+        live path ran after writing it:
+
         * **Landed results** (``completed``/``cache-hit`` records) are
           restored verbatim — the payload bytes in :attr:`results` are
           exactly the ones the previous incarnation journaled, and the
           work is never re-simulated.
-        * **Unfinished specs** (accepted, no landing) re-admit in their
-          original arrival order, capacity-exempt and front-of-class:
-          they already held a slot and already waited their turn.
         * **Quarantine and breaker state** replay deterministically —
           the breaker is a pure function of its record_* sequence, so
           the restored circuits match the dead gateway's exactly.
+        * **Unfinished specs** (accepted, no landing) are then placed
+          again in original arrival order, capacity-exempt and
+          front-of-class: they already held a slot and waited their turn.
 
         Returns a summary document (``replayed``, ``restored``,
         ``requeued``, ``truncated_bytes``).  Raises
         :class:`~repro.errors.GatewayError` when the gateway has no
         journal, and :class:`~repro.errors.JournalError` on splice-level
-        corruption (a torn tail is repaired silently).
+        corruption or an undecodable record (a torn tail is repaired
+        silently) — earlier records are applied by then, so discard the
+        gateway.
         """
         if self.journal is None:
             raise GatewayError(
@@ -495,118 +492,55 @@ class Gateway:
                 "recover() must run on a fresh gateway, before any "
                 "submissions"
             )
-        scan = self.journal.replay()
-        specs: dict[str, JobSpec] = {}
-        order: list[str] = []
-        landed: dict[str, JobResult] = {}
-        cached_ids: set[str] = set()
-        for record in scan.records:
-            data = record.data
-            if record.kind == "accepted":
-                spec = JobSpec.from_dict(data["spec"])
-                specs[spec.job_id] = spec
-                order.append(spec.job_id)
-            elif record.kind == "completed":
-                landed[data["job_id"]] = JobResult.from_dict(
-                    data["result"]
-                )
-                shard_key = f"shard-{data['shard']}"
-                if data["status"] == "done":
-                    self.breaker.record_success(shard_key)
-                elif data["status"] == "poisoned":
-                    self.counters["poisoned"] += 1
-                    self.breaker.record_failure(shard_key)
-                if data["status"] not in ("done", "poisoned"):
-                    self.counters["failed"] += 1
-            elif record.kind == "cache-hit":
-                landed[data["job_id"]] = JobResult.from_dict(
-                    data["result"]
-                )
-                cached_ids.add(data["job_id"])
-            elif record.kind == "quarantined":
-                shard_id = int(data["shard"])
-                if shard_id in self.quarantined:
-                    continue
-                self.quarantined.add(shard_id)
-                self.health.mark_dead(shard_id)
-                self.counters["quarantines"] += 1
-                self.counters["requeued"] += len(data["requeued"])
-        healthy = self.n_shards - len(self.quarantined)
-        if healthy > 0:
-            self.admission.slots = healthy * self.workers_per_shard
-
-        # Restore the durable picture before journaling anything new.
-        for job_id in order:
-            self._specs[job_id] = specs[job_id]
-            self._order.append(job_id)
-            self.counters["submitted"] += 1
-            result = landed.get(job_id)
-            if result is None:
-                continue
-            self.counters["recovered"] += 1
-            self.results[job_id] = result
-            if job_id in cached_ids:
-                self.counters["cache_hits"] += 1
-                self.counters["completed"] += 1
-            elif result.status == "done":
-                self.counters["completed"] += 1
-                # Re-seed the cache: identical future physics must keep
-                # hitting even if the cache tier itself was volatile.
-                self.result_cache.put(specs[job_id], result)
-
-        pending = [j for j in order if j not in landed]
+        replayed, truncated_bytes = self.journal.replay(self._replay)
+        restored = len(self.results)
+        pending = [j for j in self._order if j not in self.results]
+        self.counters["recovered"] = len(self._order)
         self._journal_append(
             "recovered",
-            replayed=len(scan.records),
-            restored=len(landed),
+            replayed=replayed,
+            restored=restored,
             pending=pending,
-            truncated_bytes=scan.truncated_bytes,
+            truncated_bytes=truncated_bytes,
         )
-
-        # Re-admit survivors: original arrival order, front of class.
         for job_id in pending:
-            spec = specs[job_id]
-            self.counters["recovered"] += 1
-            cached = self.result_cache.get(spec)
-            if cached is not None:
-                self._journal_append(
-                    "cache-hit", job_id=job_id, result=cached.to_dict()
-                )
-                self.results[job_id] = cached
-                self.counters["cache_hits"] += 1
-                self.counters["completed"] += 1
-                self._local_events.append(
-                    {
-                        "kind": "done",
-                        "job_id": job_id,
-                        "status": cached.status,
-                        "shard": -1,
-                        "cached": True,
-                    }
-                )
-                continue
+            spec = self._specs[job_id]
             cls = self.admission.admit(spec, exempt=True)
-            self._admitted_class[job_id] = cls
-            self._outstanding.add(job_id)
-            key = self.result_cache.key_for(spec)
-            if key in self._inflight:
-                self._waiters.setdefault(key, []).append(job_id)
-                self.counters["coalesced"] += 1
-                continue
-            self._elect_leader(key, job_id)
-            self._route(spec, front=True)
+            self._place(spec, cls, front=True)
         return {
-            "replayed": len(scan.records),
-            "restored": len(landed),
+            "replayed": replayed,
+            "restored": restored,
             "requeued": len(pending),
-            "truncated_bytes": scan.truncated_bytes,
+            "truncated_bytes": truncated_bytes,
         }
+
+    def _replay(self, record: JournalRecord) -> None:
+        """The replay decoder: one journal record → its transition.
+        The bytes are external: a well-framed record this gateway never
+        wrote (missing field, undecodable spec or result) fails typed."""
+        kind, data = record.kind, record.data
+        try:
+            if kind == "accepted":
+                self._accepted(JobSpec.from_dict(data["spec"]))
+            elif kind == "cache-hit":
+                self._cache_hit(JobResult.from_dict(data["result"]))
+            elif kind == "completed":
+                self._completed(
+                    JobResult.from_dict(data["result"]), int(data["shard"])
+                )
+            elif kind == "quarantined":
+                self._quarantined(int(data["shard"]), len(data["requeued"]))
+        except (KeyError, TypeError, ValueError, JobError) as exc:
+            raise JournalError(
+                f"{self.journal.path}: {kind} record seq {record.seq} "
+                f"cannot be replayed: {exc!r}"
+            ) from exc
 
     # -- Draining ------------------------------------------------------------
 
     def unresolved(self) -> int:
         """Jobs admitted but not yet resolved anywhere in the tier."""
-        return len(self._outstanding)
+        return len(self._admitted_class)
 
     def drain(self, *, deadline_s: float | None = None) -> None:
         """Block until every submitted job has a result."""

@@ -120,6 +120,8 @@ class WriteAheadJournal:
         self.on_append = None
         self._fh = None
         self._next_seq = 1
+        #: Whether :meth:`replay` has set ``_next_seq`` from the file.
+        self._positioned = False
         self._closed = False
         self.appended = 0
 
@@ -139,39 +141,44 @@ class WriteAheadJournal:
         not increase by exactly one across valid frames raises
         :class:`JournalError` (splice damage, never crash damage).
         """
-        path = Path(path)
-        if not path.exists():
-            return JournalScan(path=path)
-        data = path.read_bytes()
+        scan = JournalScan(path=Path(path))
+        _, scan.truncated_bytes = cls._walk(
+            scan.path, scan.records.append, repair
+        )
+        return scan
+
+    @classmethod
+    def _walk(cls, path: Path, visit, repair: bool) -> tuple[int, int]:
+        """The one frame walker under :meth:`scan` and :meth:`replay`:
+        pass each verified record to ``visit`` in order, keeping none;
+        returns ``(records visited, torn-tail bytes)``."""
+        data = path.read_bytes() if path.exists() else b""
         if not data:
-            return JournalScan(path=path)
+            return 0, 0
         if len(data) < len(_HEADER):
             # A crash inside the very first write: the whole file is tail.
-            return cls._tear(path, data, 0, repair)
+            return 0, cls._tear(path, data, 0, repair)
         if not data.startswith(_HEADER):
             raise JournalError(
                 f"{path}: not a repro-journal v1 file "
                 f"(header {data[:16]!r})"
             )
-        scan = JournalScan(path=path)
         offset = len(_HEADER)
-        expected_seq = 1
+        seq = 0
         while offset < len(data):
             record, frame_len = cls._parse_frame(data, offset)
             if record is None:
-                torn = cls._tear(path, data, offset, repair)
-                scan.truncated_bytes = torn.truncated_bytes
-                return scan
-            if record.seq != expected_seq:
+                return seq, cls._tear(path, data, offset, repair)
+            if record.seq != seq + 1:
                 raise JournalError(
                     f"{path}: sequence discontinuity at byte {offset}: "
-                    f"expected seq {expected_seq}, found {record.seq} "
+                    f"expected seq {seq + 1}, found {record.seq} "
                     f"(journal spliced or replayed?)"
                 )
-            scan.records.append(record)
-            expected_seq += 1
+            visit(record)
+            seq += 1
             offset += frame_len
-        return scan
+        return seq, 0
 
     @staticmethod
     def _parse_frame(data: bytes, offset: int):
@@ -208,32 +215,31 @@ class WriteAheadJournal:
         return record, _FRAME_PREFIX_LEN + length + 1
 
     @staticmethod
-    def _tear(
-        path: Path, data: bytes, good_bytes: int, repair: bool
-    ) -> JournalScan:
-        scan = JournalScan(
-            path=path, truncated_bytes=len(data) - good_bytes
-        )
+    def _tear(path: Path, data: bytes, good_bytes: int, repair: bool) -> int:
+        """The torn tail's length; ``repair`` trims it off the file."""
         if repair:
             with open(path, "r+b") as fh:
                 fh.truncate(good_bytes)
                 fh.flush()
                 os.fsync(fh.fileno())
-        return scan
+        return len(data) - good_bytes
 
     # -- Appending -------------------------------------------------------
 
-    def replay(self) -> JournalScan:
-        """Scan this journal (repairing any torn tail), position the
-        append cursor after the last good record, and return the scan.
+    def replay(self, visit) -> tuple[int, int]:
+        """Pass every intact record to ``visit`` as it is verified
+        (retaining none), repair any torn tail, and leave the append
+        cursor after the last good record; returns ``(records replayed,
+        torn-tail bytes trimmed)``.
 
         The recovery entry point: :meth:`repro.gateway.Gateway.recover`
-        replays the returned records, then keeps appending to the same
-        file — sequence numbers continue across incarnations.
+        applies each record as it is read, then appends to the same file
+        without a second scan — ``seq`` continues across incarnations.
         """
-        scan = self.scan(self.path, repair=True)
-        self._next_seq = scan.last_seq + 1
-        return scan
+        replayed, truncated_bytes = self._walk(self.path, visit, True)
+        self._next_seq = replayed + 1
+        self._positioned = True
+        return replayed, truncated_bytes
 
     def _ensure_open(self) -> None:
         if self._closed:
@@ -241,12 +247,10 @@ class WriteAheadJournal:
         if self._fh is not None:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists() or \
-            self.path.stat().st_size == 0
-        if not fresh:
-            self.replay()
+        if not self._positioned:
+            self.replay(lambda record: None)
         self._fh = open(self.path, "ab")
-        if fresh:
+        if self._fh.tell() == 0:  # new, empty, or torn inside the header
             self._fh.write(_HEADER)
             self._flush()
 

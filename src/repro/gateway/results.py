@@ -154,10 +154,11 @@ class ResultCache:
                 and self._disk_path(key).exists()
             ):
                 return False
-            self._entries[key] = json.loads(payload)
+            # Through JSON once: memory holds what a disk read returns.
+            stored = self._entries[key] = json.loads(payload)
             self.insertions += 1
             if self.directory is not None:
-                self._write_disk(key, payload)
+                self._write_disk(key, stored)
             self._evict_over_bound()
         return True
 
@@ -238,8 +239,7 @@ class ResultCache:
         self.corrupt_entries += 1
         quarantine(path)
 
-    def _write_disk(self, key: str, payload: str) -> None:
-        result = json.loads(payload)
+    def _write_disk(self, key: str, result: dict) -> None:
         envelope = json.dumps(
             {
                 "format": _ENTRY_FORMAT,

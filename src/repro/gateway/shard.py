@@ -55,9 +55,9 @@ class GatewayShard:
         shard_id: int,
         outbox: "queue.Queue[ShardEvent]",
         *,
+        capacity: int,
         n_workers: int = 1,
         cache_dir: str | None = None,
-        capacity: int = 64,
         start_method: str | None = None,
         service_factory=None,
     ) -> None:
@@ -94,10 +94,6 @@ class GatewayShard:
                 self._inbox.appendleft((spec, True))
             else:
                 self._inbox.append((spec, False))
-
-    def pending_count(self) -> int:
-        with self._lock:
-            return len(self._pending)
 
     # -- Lifecycle -----------------------------------------------------------
 
@@ -173,7 +169,8 @@ class GatewayShard:
             self._forward(self.service.step())
 
     def _feed(self) -> None:
-        """Move inbox specs into the service until it pushes back."""
+        """Move inbox specs into the service until it pushes back (only a
+        stand-in that bounds itself below the gateway's admission does)."""
         while True:
             with self._lock:
                 if not self._inbox:

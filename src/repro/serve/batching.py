@@ -93,9 +93,6 @@ class Batcher:
         self._groups.setdefault(fp, []).append((self._arrival, job))
         self._arrival += 1
 
-    def peek_fingerprints(self) -> tuple[str, ...]:
-        return tuple(self._groups)
-
     def take_for(self, worker_id: int) -> tuple[QueuedJob, bool] | None:
         """Pick the next job for an idle worker.
 

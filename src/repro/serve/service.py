@@ -82,7 +82,9 @@ class SimulationService:
         #: wedged pool.
         self.drain_deadline_s = drain_deadline_s
         self.results: dict[str, JobResult] = {}
-        self._order: list[str] = []
+        #: Submission order; a dict so the duplicate check is O(1) on a
+        #: queue that can hold a whole gateway's admitted jobs.
+        self._order: dict[str, None] = {}
         self._wait_s: dict[str, float] = {}
         self._started = False
         self._retry_after = RetryAfterModel()
@@ -134,7 +136,7 @@ class SimulationService:
         except QueueFullError:
             self.metrics.counter("queue_rejections").inc()
             raise
-        self._order.append(spec.job_id)
+        self._order[spec.job_id] = None
         self.metrics.counter("jobs_submitted").inc()
         self.metrics.gauge("queue_depth").set(len(self.queue))
         return spec.job_id
@@ -188,9 +190,6 @@ class SimulationService:
         self._fresh.clear()
         return [self.results[job_id] for job_id in self._order
                 if job_id in self.results]
-
-    def run_until_drained(self) -> list[JobResult]:
-        return self.run([])
 
     def outstanding(self) -> int:
         """Jobs admitted but not yet resolved (queued, staged, in flight)."""

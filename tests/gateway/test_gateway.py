@@ -123,6 +123,20 @@ class TestSyntheticOrchestration:
             gw.drain(deadline_s=30)
         assert len(gw.results) == 3
 
+    def test_urgent_job_overtakes_a_backlog_deeper_than_64(self):
+        """Everything the gateway admits reaches the shard's priority
+        queue; a FIFO overflow inbox behind a 64-deep service queue used
+        to hold the urgent job back as entry 17 of 17."""
+        gw = Gateway(n_shards=1, capacity=256, max_class_share=1.0)
+        for i in range(80):
+            gw.submit(tiny_spec(f"low{i:03d}", seed=i, priority=0))
+        gw.submit(tiny_spec("urgent", seed=999, priority=9))
+        shard = gw.shards[0]
+        shard._feed()
+        assert not shard._inbox and len(shard.service.queue) == 81
+        assert shard.service.queue.get(timeout=0.0).spec.job_id == "urgent"
+        gw.shutdown(graceful=False)
+
     def test_class_fairness_reserves_headroom(self):
         gw = Gateway(n_shards=1, capacity=4, max_class_share=0.5,
                      service_factory=SyntheticService)

@@ -54,6 +54,20 @@ class TestAppendScanRoundTrip:
         assert scan.last_seq == 4
         assert scan.by_kind("completed")[0].data["job_id"] == "late"
 
+    def test_replay_visits_in_order_and_places_the_cursor(self, tmp_path):
+        path = tmp_path / "j"
+        written = write_records(path, n=3)
+        with open(path, "ab") as fh:
+            fh.write(b"00000099 torn")
+        journal = WriteAheadJournal(path)
+        seen = []
+        assert journal.replay(seen.append) == (3, 13)
+        assert seen == written
+        assert journal.next_seq == 4
+        assert journal.append("routed", job_id="next").seq == 4
+        journal.close()
+        assert WriteAheadJournal.scan(path).truncated_bytes == 0
+
     def test_append_after_close_is_typed(self, tmp_path):
         journal = WriteAheadJournal(tmp_path / "j")
         journal.append("accepted", job_id="a")
@@ -95,6 +109,20 @@ class TestTornTails:
         journal = WriteAheadJournal(path)
         assert journal.append("routed", job_id="next").seq == 3
         journal.close()
+
+    def test_append_after_a_tear_inside_the_header_rewrites_it(
+        self, tmp_path
+    ):
+        """A crash inside the very first write leaves part of a header;
+        the next incarnation's append must start the file over, not
+        write frames under no header (which then read as splice damage).
+        """
+        path = tmp_path / "j"
+        path.write_bytes(b"repro-jou")
+        with WriteAheadJournal(path) as journal:
+            assert journal.append("accepted", job_id="a").seq == 1
+        scan = WriteAheadJournal.scan(path)
+        assert [r.data["job_id"] for r in scan.records] == ["a"]
 
     def test_garbage_after_valid_frames_is_a_tail(self, tmp_path):
         path = tmp_path / "j"

@@ -8,10 +8,19 @@ unfinished work re-admits in arrival order, and supervision state
 (breaker circuits, quarantine) replays deterministically.
 """
 
+import dataclasses
+import tracemalloc
+from pathlib import Path
+
 import pytest
 
-from repro.errors import GatewayError
-from repro.gateway import Gateway, SyntheticService, WriteAheadJournal
+from repro.errors import GatewayError, JournalError
+from repro.gateway import (
+    Gateway,
+    ResultCache,
+    SyntheticService,
+    WriteAheadJournal,
+)
 from repro.resilience.faults import SimulatedCrash
 from repro.serve.jobs import JobSpec
 
@@ -38,6 +47,127 @@ def run_all(gateway, specs):
         gateway.submit(spec)
     gateway.drain(deadline_s=30)
     return {r.job_id: r for r in gateway.ordered_results()}
+
+
+class ScriptedService(SyntheticService):
+    """A synthetic shard whose verdict is scripted by job id: ids that
+    start with ``failed`` or ``poisoned`` land with that status."""
+
+    def _fabricate(self, spec):
+        result = super()._fabricate(spec)
+        for status in ("failed", "poisoned"):
+            if spec.job_id.startswith(status):
+                return dataclasses.replace(result, status=status)
+        return result
+
+
+# -- Histories: each drives a journaled gateway to its death and returns
+# -- it; ``make(**kwargs)`` builds the dead and the successor gateway alike.
+
+
+def coalescing_history(make, tmp_path):
+    first = make()
+    run_all(first, specs_for("a", 6, distinct=4))
+    assert first.counters["cache_hits"] == 2
+    return first
+
+
+def failed_leader_history(make, tmp_path):
+    """The leader fails; its parked follower is promoted and runs."""
+    first = make()
+    leader, follower = specs_for("failed", 1) + specs_for("b", 1)
+    run_all(first, [leader, follower] + specs_for("c", 3)[1:])
+    assert first.counters["failed"] == 1
+    assert first.results[follower.job_id].status == "done"
+    assert first.results[follower.job_id].library_source != "result-cache"
+    return first
+
+
+def poison_streak_history(make, tmp_path):
+    """Two poisoned jobs in a row on one shard trip its quarantine."""
+    first = make()
+    run_all(first, specs_for("poisoned", 2) + specs_for("a", 6)[2:])
+    assert first.counters["poisoned"] == 2
+    assert len(first.quarantined) == 1
+    return first
+
+
+def manual_quarantine_history(make, tmp_path):
+    first = make(n_shards=3)
+    specs = specs_for("a", 6)
+    for spec in specs:
+        first.submit(spec)  # shards not started: everything still parked
+    assert first.quarantine_shard(first._job_shard[specs[0].job_id])
+    assert first.counters["requeued"] == 6
+    first.drain(deadline_s=30)
+    return first
+
+
+def disk_cache_history(make, tmp_path):
+    """Every job is answered from a disk tier an earlier run filled."""
+    warm = Gateway(n_shards=2, service_factory=SyntheticService,
+                   result_cache=ResultCache(tmp_path / "cache"))
+    run_all(warm, specs_for("w", 4))
+    warm.shutdown()
+    first = make(result_cache=ResultCache(tmp_path / "cache"))
+    run_all(first, specs_for("a", 4))
+    assert first.counters["cache_hits"] == 4
+    return first
+
+
+def mid_run_kill_history(make, tmp_path):
+    """Three jobs land, then the gateway dies journaling the fourth's
+    ``routed`` record — a kind with no transition, so the dead gateway's
+    memory holds exactly what its journal says."""
+    first = make()
+    run_all(first, specs_for("a", 3))
+
+    def tripwire(record):
+        if record.kind == "routed":
+            raise SimulatedCrash("die routing the late job")
+
+    first.journal.on_append = tripwire
+    with pytest.raises(SimulatedCrash):
+        first.submit(JobSpec(job_id="late", settings=dict(TINY, seed=99)))
+    return first
+
+
+HISTORIES = {
+    "coal": coalescing_history,
+    "fail": failed_leader_history,
+    "pois": poison_streak_history,
+    "quar": manual_quarantine_history,
+    "disk": disk_cache_history,
+    "kill": mid_run_kill_history,
+}
+
+
+def journal_derived_state(gateway):
+    """Everything a journal determines (``coalesced`` is a transient
+    scheduling fact, ``recovered`` the successor's own)."""
+    cache = gateway.result_cache
+    if cache.directory is None:
+        held = cache.keys()
+    else:
+        # A disk tier's memory front is a read-through copy: the
+        # directory is the state.
+        held = [path.stem for path in cache.directory.glob("*.json")]
+    return {
+        "counters": {
+            key: gateway.counters[key]
+            for key in ("submitted", "completed", "cache_hits", "failed",
+                        "poisoned", "requeued", "quarantines")
+        },
+        "payloads": {
+            job_id: result.payload_json()
+            for job_id, result in gateway.results.items()
+        },
+        "order": list(gateway._order),
+        "breaker": gateway.breaker.as_dict(),
+        "quarantined": sorted(gateway.quarantined),
+        "slots": gateway.admission.slots,
+        "cache": sorted(held),
+    }
 
 
 class TestRecoverPreconditions:
@@ -89,21 +219,26 @@ class TestCompletedRunRecovery:
         assert second.unresolved() == 0
         second.shutdown()
 
-    def test_counters_match_the_dead_incarnation(self, tmp_path):
-        path = tmp_path / "j"
-        first = journaled_gateway(path)
-        run_all(first, specs_for("a", 6, distinct=4))
-        reference = dict(first.counters)
-        first.shutdown()
-        second = journaled_gateway(path)
+    @pytest.mark.parametrize("history", HISTORIES)
+    def test_counters_match_the_dead_incarnation(self, tmp_path, history):
+        """Replay runs the transitions the live path ran, so after ANY
+        history the successor holds the dead gateway's durable state."""
+
+        def make(**kwargs):
+            kwargs.setdefault("service_factory", ScriptedService)
+            return journaled_gateway(tmp_path / "j", **kwargs)
+
+        first = HISTORIES[history](make, tmp_path)
+        first.shutdown(graceful=False)
+        # Same construction as the dead gateway (a private result cache
+        # is not shared: the successor gets an empty one).
+        second = make(
+            n_shards=first.n_shards,
+            result_cache=ResultCache(first.result_cache.directory),
+        )
         second.recover()
-        counters = dict(second.counters)
-        # Coalesced is a transient scheduling fact, not journaled
-        # per-follower; everything durable must match exactly.
-        for key in ("submitted", "completed", "cache_hits", "failed",
-                    "poisoned", "requeued", "quarantines"):
-            assert counters[key] == reference[key], key
-        second.shutdown()
+        assert journal_derived_state(second) == journal_derived_state(first)
+        second.shutdown(graceful=False)
 
     def test_recovered_marker_is_journaled(self, tmp_path):
         path = tmp_path / "j"
@@ -117,6 +252,133 @@ class TestCompletedRunRecovery:
         assert len(markers) == 1
         assert markers[0].data["restored"] == 3
         assert markers[0].data["pending"] == []
+
+
+class TestReplayIsOneStreamingScan:
+    def test_recover_and_the_next_submit_read_the_file_once(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "j"
+        first = journaled_gateway(path)
+        run_all(first, specs_for("a", 4))
+        first.shutdown()
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(
+            Path, "read_bytes",
+            lambda self: reads.append(self) or read_bytes(self),
+        )
+        second = journaled_gateway(path)
+        second.recover()  # appends its marker: the cursor must be placed
+        second.submit(specs_for("z", 1)[0])
+        assert reads == [path]
+        second.shutdown()
+        assert [r.seq for r in WriteAheadJournal.scan(path).records] == \
+            list(range(1, 16 + 1 + 2 + 1))  # run, marker, accepted + hit
+
+    def test_replay_transient_is_bounded_by_the_file_not_the_records(
+        self, tmp_path
+    ):
+        """No list of parsed records: what ``recover()`` allocates beyond
+        the state it keeps is the one buffer holding the file's bytes."""
+        path = tmp_path / "j"
+        first = journaled_gateway(path, capacity=2048, max_class_share=1.0)
+        run_all(first, specs_for("a", 2048, distinct=1536))
+        first.shutdown()
+        journal_bytes = path.stat().st_size
+        second = journaled_gateway(path, capacity=2048, max_class_share=1.0)
+        tracemalloc.start()
+        try:
+            second.recover()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(second.results) == 2048
+        assert peak - retained <= 2 * journal_bytes
+        second.shutdown()
+
+
+class TestJournalBytesAreTheContract:
+    FIELDS = {
+        "accepted": {"job_id", "cls", "spec"},
+        "leader-elected": {"job_id", "key"},
+        "routed": {"job_id", "shard", "front"},
+        "completed": {"job_id", "status", "shard", "result"},
+        "cache-hit": {"job_id", "result"},
+        "quarantined": {"shard", "requeued"},
+        "recovered": {"replayed", "restored", "pending", "truncated_bytes"},
+    }
+
+    def kinds(self, path, start=0):
+        records = WriteAheadJournal.scan(path).records[start:]
+        for record in records:
+            assert set(record.data) == self.FIELDS[record.kind], record
+        return sorted(record.kind for record in records)
+
+    def test_clean_run_journals_exactly_these_records(self, tmp_path):
+        path = tmp_path / "j"
+        first = journaled_gateway(path)
+        run_all(first, specs_for("a", 6, distinct=4))
+        first.shutdown()
+        assert self.kinds(path) == sorted(
+            4 * ["accepted", "leader-elected", "routed", "completed"]
+            + 2 * ["accepted", "cache-hit"]
+        )
+        second = journaled_gateway(path)
+        second.recover()
+        second.shutdown()
+        assert self.kinds(path, start=20) == ["recovered"]
+
+    def test_quarantine_requeue_adds_routed_records_only(self, tmp_path):
+        path = tmp_path / "j"
+        gw = journaled_gateway(path)
+        specs = specs_for("a", 3)
+        for spec in specs:
+            gw.submit(spec)  # shards not started: all three still parked
+        assert gw.quarantine_shard(gw._job_shard[specs[0].job_id])
+        assert self.kinds(path, start=9) == ["quarantined"] + 3 * ["routed"]
+        requeues = WriteAheadJournal.scan(path).by_kind("routed")[3:]
+        assert [r.data["front"] for r in requeues] == [True] * 3
+        gw.shutdown(graceful=False)
+
+
+class TestReplayFailsTypedOnExternalBytes:
+    """A well-framed, digest-valid record the gateway never wrote."""
+
+    RESULT = {"job_id": "x", "status": "done"}
+
+    @pytest.mark.parametrize("kind, data", [
+        ("accepted", {"job_id": "x", "cls": "priority-0"}),
+        ("accepted", {"job_id": "x", "spec": {"fidelity": "no-such"}}),
+        ("accepted", {"job_id": "x", "spec": "not an object"}),
+        ("cache-hit", {"job_id": "x"}),
+        ("cache-hit", {"job_id": "x", "result": {"no_such_field": 1}}),
+        ("completed", {"job_id": "x", "status": "done", "shard": 0}),
+        ("completed", {"job_id": "x", "status": "done", "result": RESULT}),
+        ("completed", {"job_id": "x", "shard": "zero", "result": RESULT}),
+        ("quarantined", {"shard": 1}),
+        ("quarantined", {"requeued": []}),
+    ])
+    def test_undecodable_record_names_its_seq_and_kind(
+        self, tmp_path, kind, data
+    ):
+        path = tmp_path / "j"
+        with WriteAheadJournal(path) as journal:
+            journal.append("routed", job_id="x", shard=0, front=False)
+            journal.append(kind, **data)
+        gw = journaled_gateway(path)
+        with pytest.raises(JournalError, match=f"{kind} record seq 2"):
+            gw.recover()
+        gw.shutdown()
+
+    def test_unknown_kinds_stay_ignored(self, tmp_path):
+        path = tmp_path / "j"
+        with WriteAheadJournal(path) as journal:
+            journal.append("from-a-newer-gateway", anything=1)
+        gw = journaled_gateway(path)
+        assert gw.recover()["replayed"] == 1
+        assert gw.counters["submitted"] == 0
+        gw.shutdown()
 
 
 class TestMidRunRecovery:
