@@ -5,7 +5,9 @@ statistically realistic synthetic equivalents: resonance ladders
 (:mod:`~repro.data.resonance`), Doppler broadening
 (:mod:`~repro.data.doppler`), per-nuclide tables
 (:mod:`~repro.data.nuclide`), Hoogenboom-Martin libraries
-(:mod:`~repro.data.library`), the unionized energy grid
+(:mod:`~repro.data.library` — the library is the struct-of-arrays store
+every consumer reads; :mod:`~repro.data.soa` holds the array-of-structs
+ablation copy), the unionized energy grid
 (:mod:`~repro.data.unionized`), URR probability tables
 (:mod:`~repro.data.urr`), S(alpha, beta) thermal tables
 (:mod:`~repro.data.sab`), the windowed multipole representation

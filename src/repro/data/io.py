@@ -1,18 +1,26 @@
-"""Library serialization: save/load synthetic libraries as ``.npz`` files.
+"""Library serialization: the file form of :class:`NuclideLibrary`.
 
 Building a paper-fidelity H.M. Large library takes seconds; repeated
 benchmark sessions (and downstream users who want a *fixed* data file
 rather than a generator) benefit from caching the built arrays.  The format
-is a single compressed ``.npz`` holding every nuclide's grid/XS plus the
-URR and S(alpha, beta) attachments, with a schema version for forward
-compatibility.  Loaded libraries compare exactly equal to the originals.
+is a single compressed ``.npz`` holding the library's three flat arrays
+(``energy``, ``xs``, ``offsets`` — the library is the SoA, on disk as in
+memory), the URR and S(alpha, beta) attachments, and a JSON ``__meta__``
+member with the per-nuclide scalars and a schema version.  Loaded libraries
+compare exactly equal to the originals.
+
+Both functions take a path or an open binary stream, as ``numpy.savez`` and
+``numpy.load`` do; a path is written under exactly the name given.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from dataclasses import asdict
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -24,103 +32,100 @@ from .urr import URRTable
 
 __all__ = ["save_library", "load_library"]
 
-_SCHEMA_VERSION = 1
+#: 2: the pointwise data is the library's three flat arrays (schema 1 spelt
+#: it as two members per nuclide).
+_SCHEMA_VERSION = 2
+
+_NUCLIDE_SCALARS = (
+    "name", "awr", "fissionable", "nu0", "watt_a", "watt_b",
+    "has_urr", "urr_emin", "urr_emax", "has_sab",
+)
+_URR_ARRAYS = ("band_edges", "cdf", "factors")
+_SAB_ARRAYS = ("e_in", "xs", "e_out", "mu")
+
+#: What numpy, zipfile, json and the constructors raise on bytes that are not
+#: a schema-2 library: a missing member, a torn archive, a field of the wrong
+#: name or shape.
+_MALFORMED = (
+    KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile, zlib.error,
+)
 
 
-def save_library(library: NuclideLibrary, path: str | Path) -> None:
-    """Write a library to a compressed ``.npz`` file."""
-    path = Path(path)
-    arrays: dict[str, np.ndarray] = {}
-    meta: dict = {
+def save_library(library: NuclideLibrary, file: str | Path | BinaryIO) -> None:
+    """Write a library as a compressed ``.npz`` to a path or binary stream."""
+    meta = {
         "schema": _SCHEMA_VERSION,
         "model": library.model,
         "config": asdict(library.config),
-        "nuclides": [],
+        "nuclides": [
+            {key: getattr(nuc, key) for key in _NUCLIDE_SCALARS}
+            for nuc in library
+        ],
         "urr": sorted(library.urr),
         "sab": sorted(library.sab),
     }
-    for nuc in library:
-        meta["nuclides"].append(
-            {
-                "name": nuc.name,
-                "awr": nuc.awr,
-                "fissionable": nuc.fissionable,
-                "nu0": nuc.nu0,
-                "watt_a": nuc.watt_a,
-                "watt_b": nuc.watt_b,
-                "has_urr": nuc.has_urr,
-                "urr_emin": nuc.urr_emin,
-                "urr_emax": nuc.urr_emax,
-                "has_sab": nuc.has_sab,
-            }
-        )
-        arrays[f"nuc/{nuc.name}/energy"] = nuc.energy
-        arrays[f"nuc/{nuc.name}/xs"] = nuc.xs
+    arrays: dict[str, np.ndarray] = {
+        "energy": library.energy,
+        "xs": library.xs,
+        "offsets": library.offsets,
+    }
     for name, table in library.urr.items():
-        arrays[f"urr/{name}/band_edges"] = table.band_edges
-        arrays[f"urr/{name}/cdf"] = table.cdf
-        arrays[f"urr/{name}/factors"] = table.factors
+        for key in _URR_ARRAYS:
+            arrays[f"urr/{name}/{key}"] = getattr(table, key)
     for name, table in library.sab.items():
-        arrays[f"sab/{name}/e_in"] = table.e_in
-        arrays[f"sab/{name}/xs"] = table.xs
-        arrays[f"sab/{name}/e_out"] = table.e_out
-        arrays[f"sab/{name}/mu"] = table.mu
+        for key in _SAB_ARRAYS:
+            arrays[f"sab/{name}/{key}"] = getattr(table, key)
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta).encode(), dtype=np.uint8
     )
-    np.savez_compressed(path, **arrays)
+    if isinstance(file, (str, Path)):
+        # An open file, not the name: numpy appends ".npz" to a bare name.
+        with open(file, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+    else:
+        np.savez_compressed(file, **arrays)
 
 
-def load_library(path: str | Path) -> NuclideLibrary:
-    """Read a library written by :func:`save_library`."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"no library file at {path}")
-    with np.load(path) as data:
+def load_library(file: str | Path | BinaryIO) -> NuclideLibrary:
+    """Read a library written by :func:`save_library` from a path or a
+    seekable binary stream; anything else found there is a
+    :class:`DataError`."""
+    if isinstance(file, (str, Path)):
         try:
-            meta = json.loads(bytes(data["__meta__"]).decode())
-        except KeyError:
-            raise DataError(f"{path} is not a repro library file") from None
-        if meta.get("schema") != _SCHEMA_VERSION:
-            raise DataError(
-                f"{path}: unsupported schema {meta.get('schema')!r} "
-                f"(expected {_SCHEMA_VERSION})"
-            )
-        nuclides = []
-        for info in meta["nuclides"]:
-            name = info["name"]
-            nuclides.append(
-                Nuclide(
-                    name=name,
-                    awr=info["awr"],
-                    energy=data[f"nuc/{name}/energy"],
-                    xs=data[f"nuc/{name}/xs"],
-                    fissionable=info["fissionable"],
-                    nu0=info["nu0"],
-                    watt_a=info["watt_a"],
-                    watt_b=info["watt_b"],
-                    has_urr=info["has_urr"],
-                    urr_emin=info["urr_emin"],
-                    urr_emax=info["urr_emax"],
-                    has_sab=info["has_sab"],
-                )
-            )
-        urr = {
-            name: URRTable(
-                band_edges=data[f"urr/{name}/band_edges"],
-                cdf=data[f"urr/{name}/cdf"],
-                factors=data[f"urr/{name}/factors"],
-            )
-            for name in meta["urr"]
-        }
-        sab = {
-            name: SabTable(
-                e_in=data[f"sab/{name}/e_in"],
-                xs=data[f"sab/{name}/xs"],
-                e_out=data[f"sab/{name}/e_out"],
-                mu=data[f"sab/{name}/mu"],
-            )
-            for name in meta["sab"]
-        }
+            fh = open(file, "rb")
+        except FileNotFoundError:
+            raise DataError(f"no library file at {file}") from None
+        with fh:
+            return load_library(fh)
+    try:
+        with np.load(file) as data:
+            return _parse(data)
+    except _MALFORMED as exc:
+        name = getattr(file, "name", "<stream>")
+        raise DataError(f"{name} is not a repro library file: {exc!r}") from exc
+
+
+def _parse(data) -> NuclideLibrary:
+    meta = json.loads(bytes(data["__meta__"]).decode())
+    if meta.get("schema") != _SCHEMA_VERSION:
+        raise DataError(
+            f"unsupported library schema {meta.get('schema')!r} "
+            f"(expected {_SCHEMA_VERSION})"
+        )
+    energy, xs, offsets = data["energy"], data["xs"], data["offsets"]
+    nuclides = [
+        Nuclide(energy=energy[lo:hi], xs=xs[:, lo:hi], **info)
+        for info, lo, hi in zip(
+            meta["nuclides"], offsets[:-1], offsets[1:], strict=True
+        )
+    ]
+    urr = {
+        name: URRTable(**{k: data[f"urr/{name}/{k}"] for k in _URR_ARRAYS})
+        for name in meta["urr"]
+    }
+    sab = {
+        name: SabTable(**{k: data[f"sab/{name}/{k}"] for k in _SAB_ARRAYS})
+        for name in meta["sab"]
+    }
     config = LibraryConfig(**meta["config"])
     return NuclideLibrary(nuclides, urr, sab, config, meta["model"])

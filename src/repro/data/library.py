@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ..errors import DataError
+from ..types import Reaction
 from .nuclide import Nuclide
 from .resonance import build_energy_grid, reconstruct_xs, sample_ladder
 from .sab import SabTable, build_sab_table
@@ -296,10 +297,39 @@ def build_nuclide(
 
 
 class NuclideLibrary:
-    """An ordered collection of nuclides plus their URR/S(a,b) attachments.
+    """The struct-of-arrays cross-section store: every nuclide's pointwise
+    data packed once into flat contiguous arrays, plus the URR/S(a,b)
+    attachments.
 
-    Nuclide order is stable and indexable (``library.index(name)``) because
-    the SoA transport kernels address nuclides by dense integer id.
+    This is the paper's AoS -> SoA transformation (§III-A1) and the one
+    owner of the floats: the constructor packs the nuclides it is given and
+    rebinds each ``Nuclide.energy`` / ``Nuclide.xs`` to a view of the flat
+    storage, so per-nuclide (history) and flat (banked, compiled) consumers
+    read the same memory.  Nuclide order is stable and indexable
+    (``library.index(name)``) because the transport kernels address
+    nuclides by dense integer id.
+
+    Attributes
+    ----------
+    offsets:
+        ``(n_nuclides + 1,)`` int64 start offsets; nuclide ``i`` owns
+        ``[offsets[i], offsets[i+1])`` of the flat arrays.
+    energy:
+        All grids concatenated, shape ``(total_points,)``.
+    xs:
+        All cross sections concatenated, ``(N_REACTIONS, total_points)``;
+        each reaction row is contiguous — vectorized lookups are pure
+        unit-stride-per-quantity gathers.
+    awr, nu0, fissionable, watt_a, watt_b, has_urr, urr_emin, urr_emax,
+    has_sab, sab_cutoff:
+        Per-nuclide metadata as dense arrays.  The event loop's collision
+        stages index these with *arrays of chosen nuclide ids*, so
+        per-particle questions like "does my target have an S(alpha, beta)
+        table, and am I below its cutoff?" are single gathers instead of
+        Python loops over the library.
+    sab_tables:
+        Per-nuclide S(alpha, beta) table references (``None`` where absent),
+        so kernels can reach a table by dense id without name lookups.
     """
 
     def __init__(
@@ -311,6 +341,8 @@ class NuclideLibrary:
         model: str,
     ) -> None:
         self._nuclides = list(nuclides)
+        if not self._nuclides:
+            raise DataError("a library needs at least one nuclide")
         self._by_name = {n.name: n for n in self._nuclides}
         if len(self._by_name) != len(self._nuclides):
             raise DataError("duplicate nuclide names in library")
@@ -319,6 +351,33 @@ class NuclideLibrary:
         self.sab = dict(sab)
         self.config = config
         self.model = model
+
+        sizes = [n.n_points for n in self._nuclides]
+        self.offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
+        self.energy = np.concatenate([n.energy for n in self._nuclides])
+        self.xs = np.concatenate([n.xs for n in self._nuclides], axis=1)
+        for nuc, lo, hi in zip(self._nuclides, self.offsets, self.offsets[1:]):
+            nuc.energy = self.energy[lo:hi]
+            nuc.xs = self.xs[:, lo:hi]
+
+        def column(attr: str) -> np.ndarray:
+            return np.array([getattr(n, attr) for n in self._nuclides])
+
+        self.awr = column("awr")
+        self.nu0 = column("nu0")
+        self.fissionable = column("fissionable")
+        self.watt_a = column("watt_a")
+        self.watt_b = column("watt_b")
+        self.has_urr = column("has_urr")
+        self.urr_emin = column("urr_emin")
+        self.urr_emax = column("urr_emax")
+        self.has_sab = column("has_sab")
+        self.sab_tables = [
+            self.sab[n.name] if n.has_sab else None for n in self._nuclides
+        ]
+        self.sab_cutoff = np.array(
+            [t.cutoff if t is not None else 0.0 for t in self.sab_tables]
+        )
 
     # -- Container protocol -------------------------------------------------
 
@@ -349,7 +408,7 @@ class NuclideLibrary:
     @property
     def nbytes(self) -> int:
         """Total bytes of pointwise data + URR + S(a,b) tables."""
-        total = sum(n.nbytes for n in self._nuclides)
+        total = int(self.energy.nbytes + self.xs.nbytes)
         total += sum(t.nbytes for t in self.urr.values())
         total += sum(t.nbytes for t in self.sab.values())
         return total
@@ -357,6 +416,44 @@ class NuclideLibrary:
     def fission_q(self, name: str) -> float:
         """Energy per fission [MeV] (constant; kept for tally normalization)."""
         return 200.0
+
+    # -- Flat gathers -----------------------------------------------------------
+
+    def micro_xs_gather(
+        self,
+        nuclide_id: int,
+        energies: np.ndarray,
+        local_indices: np.ndarray,
+    ) -> np.ndarray:
+        """Vectorized micro-XS for one nuclide across a bank.
+
+        ``local_indices`` are interval indices within the nuclide's own grid
+        (e.g. from the unionized grid).  Returns
+        ``(N_REACTIONS, n)``.  Unit-stride loads within each reaction row —
+        the SoA payoff.
+        """
+        idx = self.offsets[nuclide_id] + np.asarray(local_indices, dtype=np.int64)
+        e0 = self.energy[idx]
+        e1 = self.energy[idx + 1]
+        f = np.clip((energies - e0) / (e1 - e0), 0.0, 1.0)
+        return (1.0 - f) * self.xs[:, idx] + f * self.xs[:, idx + 1]
+
+    def micro_total_across_nuclides(
+        self, energy: float, local_indices: np.ndarray
+    ) -> np.ndarray:
+        """Total micro-XS of *every* nuclide at one energy.
+
+        ``local_indices`` is the unionized grid's answer for one union point
+        (one interval index per nuclide).  This is the gather pattern of
+        vectorizing the *outer* (particle) loop transposed: one particle,
+        all nuclides at once.
+        """
+        idx = self.offsets[:-1] + np.asarray(local_indices, dtype=np.int64)
+        e0 = self.energy[idx]
+        e1 = self.energy[idx + 1]
+        f = np.clip((energy - e0) / (e1 - e0), 0.0, 1.0)
+        row = self.xs[Reaction.TOTAL]
+        return (1.0 - f) * row[idx] + f * row[idx + 1]
 
 
 def build_library(

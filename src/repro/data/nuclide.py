@@ -1,8 +1,10 @@
 """Per-nuclide continuous-energy cross-section tables.
 
-A :class:`Nuclide` owns its private energy grid (as in ACE data, grids differ
-per nuclide) and a dense ``(N_REACTIONS, n_points)`` cross-section matrix —
-the struct-of-arrays layout the paper's AoS→SoA optimization produces.
+A :class:`Nuclide` has a private energy grid (as in ACE data, grids differ
+per nuclide) and a dense ``(N_REACTIONS, n_points)`` cross-section matrix.
+Once it joins a :class:`~repro.data.library.NuclideLibrary` both are views of
+the library's flat arrays — the struct-of-arrays layout the paper's AoS→SoA
+optimization produces — so nothing here may assume they are contiguous.
 Lookups are linear-linear interpolations after a binary grid search; both a
 scalar path (history-based transport) and a vectorized path (banked kernels)
 are provided.
@@ -68,8 +70,8 @@ class Nuclide:
     has_sab: bool = False
 
     def __post_init__(self) -> None:
-        self.energy = np.ascontiguousarray(self.energy, dtype=np.float64)
-        self.xs = np.ascontiguousarray(self.xs, dtype=np.float64)
+        self.energy = np.asarray(self.energy, dtype=np.float64)
+        self.xs = np.asarray(self.xs, dtype=np.float64)
         if self.energy.ndim != 1 or self.energy.size < 2:
             raise DataError(f"{self.name}: energy grid needs >= 2 points")
         if np.any(np.diff(self.energy) <= 0):

@@ -68,7 +68,7 @@ class UnionizedGrid:
 
     def __init__(self, library: NuclideLibrary):
         self.library = library
-        self.energy = np.unique(np.concatenate([n.energy for n in library]))
+        self.energy = np.unique(library.energy)
         self._interior = self.energy[1:-1]
         n_union = self.energy.size
         widest = max(n.n_points for n in library)

@@ -16,6 +16,10 @@ the paper compares:
 
 Both banked variants reproduce the scalar path's results — and its random-
 number stream — exactly, so history and event transport are bit-comparable.
+
+Every path reads the library's own flat arrays (the library is the SoA); a
+calculator copies nothing but the AoS records the ``layout="aos"`` ablation
+asks for.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from ..data.library import NuclideLibrary
 from ..data.nuclide import NU_THERMAL_SLOPE, Nuclide
 from ..data.sab import SabTable
-from ..data.soa import AoSLibrary, SoALibrary
+from ..data.soa import AoSLibrary
 from ..data.unionized import UnionizedGrid
 from ..data.urr import URRTable
 from ..errors import PhysicsError
@@ -111,13 +115,14 @@ class MaterialPlan:
     ids, rho:
         Dense nuclide ids and aligned atom densities (``Material.resolve``).
     offsets:
-        ``soa.offsets[ids]`` — start of each material nuclide's grid in the
-        flat SoA arrays, so fused gathers are ``offsets[:, None] + local``.
+        ``library.offsets[ids]`` — start of each material nuclide's grid in
+        the library's flat arrays, so fused gathers are ``offsets[:, None] +
+        local``.
     nuclides:
         The material's :class:`Nuclide` objects in id order (non-union grid
         searches, scalar fallbacks).
     fissionable, nu0:
-        Per-material-nuclide scalars gathered from the SoA side-tables.
+        Per-material-nuclide scalars gathered from the library's side-tables.
     fissionable_rows, nu0_fissionable_col:
         Row numbers of the fissionable nuclides and their ``nu0`` as a
         column — the fission-production sub-matrix is gathered and scaled
@@ -128,6 +133,9 @@ class MaterialPlan:
     urr_entries:
         ``(k, table)`` for each nuclide with an unresolved-resonance
         probability table, in material order ``k``.
+    kernel_view:
+        The compiled tier's typed view of this plan, built and kept here by
+        :func:`repro.transport.jit.tables.plan_view` (``None`` until then).
     """
 
     __slots__ = (
@@ -149,22 +157,23 @@ class MaterialPlan:
         "urr_emax",
         "union_rowoff",
         "union_rowoff_col",
+        "kernel_view",
     )
 
     def __init__(self, calc: XSCalculator, material: Material) -> None:
-        ids, rho = material.resolve(calc.library)
+        library = calc.library
+        ids, rho = material.resolve(library)
         self.material = material
         self.ids = ids
         self.ids_col = ids[:, None]
         self.rho = rho
         self.n_nuclides = int(ids.shape[0])
-        soa = calc.soa
-        self.offsets = soa.offsets[ids]
+        self.offsets = library.offsets[ids]
         self.offsets_col = self.offsets[:, None]
-        self.nuclides: list[Nuclide] = [calc.library[int(i)] for i in ids]
-        self.fissionable = soa.fissionable[ids]
+        self.nuclides: list[Nuclide] = [library[int(i)] for i in ids]
+        self.fissionable = library.fissionable[ids]
         self.fissionable_rows = np.flatnonzero(self.fissionable)
-        self.nu0 = soa.nu0[ids]
+        self.nu0 = library.nu0[ids]
         self.nu0_fissionable_col = self.nu0[self.fissionable][:, None]
         self.sab_entries: list[tuple[int, SabTable, float]] = []
         self.urr_entries: list[tuple[int, URRTable]] = []
@@ -172,10 +181,10 @@ class MaterialPlan:
             if nuc.has_sab:
                 nid = int(ids[k])
                 self.sab_entries.append(
-                    (k, soa.sab_tables[nid], float(soa.sab_cutoff[nid]))
+                    (k, library.sab_tables[nid], float(library.sab_cutoff[nid]))
                 )
             if nuc.has_urr:
-                self.urr_entries.append((k, calc.library.urr[nuc.name]))
+                self.urr_entries.append((k, library.urr[nuc.name]))
         # Fused-containment bounds for the URR nuclides (one vectorized
         # range check per bank instead of a ``contains`` call per nuclide).
         self.urr_emin = np.array([t.emin for _, t in self.urr_entries])
@@ -188,6 +197,7 @@ class MaterialPlan:
             self.union_rowoff_col = self.union_rowoff[:, None]
         else:
             self.union_rowoff = self.union_rowoff_col = None
+        self.kernel_view = None
 
 
 class XSCalculator:
@@ -225,7 +235,6 @@ class XSCalculator:
         if layout not in ("soa", "aos"):
             raise PhysicsError(f"unknown layout {layout!r}")
         self.layout = layout
-        self.soa = SoALibrary(library)
         self.aos = AoSLibrary(library) if layout == "aos" else None
         # id(material) -> MaterialPlan; the plan's material reference keeps
         # the id stable for the cache's lifetime.
@@ -236,6 +245,9 @@ class XSCalculator:
         #: Scratch matrices every banked and attribution call runs on; the
         #: compiled-kernel proxy writes into the same ones.
         self.workspace = TileWorkspace()
+        #: The compiled tier's typed view of the flat arrays, built and kept
+        #: here by :func:`repro.transport.jit.tables.library_view`.
+        self.kernel_view = None
 
     def material_plan(self, material: Material) -> MaterialPlan:
         """Cached :class:`MaterialPlan` for a material (built on first use)."""
@@ -289,7 +301,7 @@ class XSCalculator:
         self, plan: MaterialPlan, energies: np.ndarray, ia, ib, count, fa, fb
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The gather prologue shared by the lookup and the attribution:
-        flat SoA positions of each lane's bracketing grid points and the
+        flat library positions of each lane's bracketing grid points and the
         interpolation factors, ``(idx, idx1, f, g)`` with ``g = 1 - f``,
         written into the first five workspace matrices.
 
@@ -300,10 +312,10 @@ class XSCalculator:
         local = self._local_indices(plan, energies, ia, ib, count)
         idx = np.add(plan.offsets_col, local, out=ia)
         idx1 = np.add(idx, 1, out=ib)
-        grid = self.soa.energy
+        grid = self.library.energy
         if idx.size and (idx1.max() >= grid.shape[0] or idx.min() < 0):
             raise IndexError(
-                f"grid interval outside the {grid.shape[0]}-point SoA arrays "
+                f"grid interval outside the {grid.shape[0]}-point flat arrays "
                 f"(material {plan.material.name!r}): corrupt index matrix?"
             )
         e0 = grid.take(idx, out=fa, mode="clip")
@@ -497,7 +509,7 @@ class XSCalculator:
         if self.layout == "soa":
             # Fused gather: one (n_nuc, N) take per quantity instead of
             # n_nuc small per-nuclide gathers.
-            soa = self.soa
+            xs = self.library.xs
             idx, idx1, f, g = self._bracket(
                 plan, energies, ia, ib, count, fa, fb
             )
@@ -506,7 +518,7 @@ class XSCalculator:
                 (Reaction.CAPTURE, m_cap_mat),
                 (Reaction.FISSION, m_fis_mat),
             ):
-                self._interpolate(soa.xs[reaction], idx, idx1, f, g, out, contrib)
+                self._interpolate(xs[reaction], idx, idx1, f, g, out, contrib)
         else:
             # AoS ablation: keep the per-nuclide strided gathers (that cost
             # is the point of the layout comparison) but share the workspace
@@ -625,11 +637,14 @@ class XSCalculator:
         ids, rho = material.resolve(self.library)
         n = energies.shape[0]
         out = np.empty(n)
+        # One interval index per library nuclide; those outside the material
+        # keep index 0 and never reach the dot product with the densities.
+        local = np.zeros(len(self.library), dtype=np.int64)
         for j in range(n):
             u = self.union.search(float(energies[j]))
-            local = self.union.nuclide_indices(ids, u)
-            micro_tot = self.soa.micro_total_across_nuclides(
-                float(energies[j]), self.soa_local_indices(ids, local)
+            local[ids] = self.union.nuclide_indices(ids, u)
+            micro_tot = self.library.micro_total_across_nuclides(
+                float(energies[j]), local
             )
             out[j] = float(np.dot(rho, micro_tot[ids]))
         if counters:
@@ -688,7 +703,7 @@ class XSCalculator:
         idx, idx1, f, g = self._bracket(
             plan, energies, ia, ib, count, fa, fb
         )
-        self._interpolate(self.soa.xs[reaction], idx, idx1, f, g, out, hi)
+        self._interpolate(self.library.xs[reaction], idx, idx1, f, g, out, hi)
         self._finish_attribution(plan, energies, reaction, out, counters)
         return out
 
@@ -713,13 +728,3 @@ class XSCalculator:
             n_items = out.size
             counters.nuclide_iterations += n_items
             counters.bytes_read += n_items * BYTES_PER_NUCLIDE_LOOKUP
-
-    def soa_local_indices(
-        self, ids: np.ndarray, local: np.ndarray
-    ) -> np.ndarray:
-        """Expand material-subset local indices to a full per-nuclide vector
-        (nuclides outside the material get index 0; they are masked out by
-        the dot product with the density vector)."""
-        full = np.zeros(self.soa.n_nuclides, dtype=np.int64)
-        full[ids] = local
-        return full

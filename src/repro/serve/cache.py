@@ -5,7 +5,7 @@ analogue of the paper's PCIe offload overhead: a price paid once that must
 be amortized over as much work as possible.  The cache turns N jobs sharing
 one :func:`~repro.data.library.library_fingerprint` into exactly one build:
 the first worker to need a library builds it and publishes the ``.npz``
-atomically (temp file + ``os.replace``); everyone else loads it.
+atomically (:func:`repro.durable.atomic_write_bytes`); everyone else loads it.
 
 Cross-process single-build is enforced with an ``O_CREAT | O_EXCL``
 lockfile: one builder wins the lock, the rest wait for the published file
@@ -15,7 +15,8 @@ hanging, trading one redundant build for liveness.
 
 Reads are **digest-verified** (PR 10): the publisher writes a
 ``.sha256`` sidecar over the npz bytes *before* the npz lands, and every
-load re-hashes the file against it.  A mismatch — bit rot, a tampered
+load reads the file once, re-hashes those bytes against it and parses the
+same bytes.  A mismatch — bit rot, a tampered
 file, a torn write that still unpickles — is **quarantined** (npz
 renamed to ``.corrupt``, sidecar removed, counted through a typed
 :class:`~repro.errors.CorruptEntryError`) and the library is rebuilt;
@@ -26,6 +27,7 @@ a sidecar cannot be verified and gets the same treatment.
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import time
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ from ..data.library import (
     build_library,
     library_fingerprint,
 )
-from ..durable import atomic_write_text, quarantine
+from ..durable import atomic_write_bytes, atomic_write_text, quarantine
 from ..errors import CorruptEntryError, DataError, ServeError
 
 __all__ = ["CacheOutcome", "LibraryCache"]
@@ -142,25 +144,23 @@ class LibraryCache:
             return None
         t0 = time.perf_counter()
         try:
-            self._verify_digest(path)
-            library = load_library(path)
-        except CorruptEntryError:
-            self._quarantine(path)
-            return None
-        except (DataError, OSError, ValueError):
-            # The file passes the digest check but does not load as a
-            # library (a sidecar-matching write of garbage).  Same
-            # response: quarantine and rebuild — a cache must never be a
-            # source of failure.
+            library = load_library(io.BytesIO(self._verified_bytes(path)))
+        except (CorruptEntryError, DataError, OSError, ValueError):
+            # Past ``CorruptEntryError``: the bytes pass the digest check
+            # but are not a library this version reads (a sidecar-matching
+            # write of garbage, an older schema).  Same response:
+            # quarantine and rebuild — a cache must never be a source of
+            # failure.
             self._quarantine(path)
             return None
         dt = time.perf_counter() - t0
         return library, CacheOutcome(fp, "disk-cache", load_seconds=dt)
 
-    def _verify_digest(self, path: Path) -> None:
-        """Check ``path`` against its ``.sha256`` sidecar.  A missing or
-        wrong sidecar is typed corruption: an entry that cannot be
-        verified is never served."""
+    def _verified_bytes(self, path: Path) -> bytes:
+        """The bytes of ``path``, read once and checked against its
+        ``.sha256`` sidecar — what is parsed is what was verified.  A
+        missing or wrong sidecar is typed corruption: an entry that cannot
+        be verified is never served."""
         sidecar = self.digest_path_for(path)
         try:
             expected = sidecar.read_text().strip()
@@ -169,17 +169,19 @@ class LibraryCache:
                 f"no readable digest sidecar: {exc}", path=str(path)
             ) from None
         try:
-            actual = hashlib.sha256(path.read_bytes()).hexdigest()
+            data = path.read_bytes()
         except OSError as exc:
             raise CorruptEntryError(
                 f"cache entry unreadable: {exc}", path=str(path)
             ) from None
+        actual = hashlib.sha256(data).hexdigest()
         if actual != expected:
             raise CorruptEntryError(
                 f"library cache digest mismatch: sidecar {expected[:16]}…,"
                 f" content {actual[:16]}…",
                 path=str(path),
             )
+        return data
 
     def _quarantine(self, path: Path) -> None:
         """Move a damaged entry out of the cache namespace (keeping the
@@ -197,23 +199,14 @@ class LibraryCache:
         t0 = time.perf_counter()
         library = build_library(model, config)
         build_s = time.perf_counter() - t0
-        # The temp name must keep the .npz suffix or numpy appends one and
-        # the final os.replace would miss the actual file written.
-        tmp = path.with_name(f"{path.stem}.tmp-{os.getpid()}{_SUFFIX}")
-        try:
-            save_library(library, tmp)
-            # Sidecar first (intent), npz last (commit): a crash between
-            # the two leaves a sidecar with no npz — a miss, not a lie.
-            digest = hashlib.sha256(tmp.read_bytes()).hexdigest()
-            atomic_write_text(self.digest_path_for(path), digest + "\n")
-            with open(tmp, "rb") as fh:
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            try:
-                tmp.unlink()
-            except FileNotFoundError:
-                pass
+        buf = io.BytesIO()
+        save_library(library, buf)
+        data = buf.getbuffer()
+        # Sidecar first (intent), npz last (commit): a crash between the
+        # two leaves a sidecar with no npz — a miss, not a lie.
+        digest = hashlib.sha256(data).hexdigest()
+        atomic_write_text(self.digest_path_for(path), digest + "\n")
+        atomic_write_bytes(path, data)
         return library, CacheOutcome(fp, "built", build_seconds=build_s)
 
     # -- Observability --------------------------------------------------------

@@ -4,8 +4,8 @@ The package behind the ``numba-event`` transport backend (DESIGN.md §15):
 
 * :mod:`~repro.transport.jit.shim` — numba detection, the ``njit``
   decorator shim (identity without numba), compile-time accounting;
-* :mod:`~repro.transport.jit.tables` — flat typed-tuple views of the SoA
-  side-tables the kernels read;
+* :mod:`~repro.transport.jit.tables` — flat typed-tuple views of the library
+  arrays the kernels read;
 * :mod:`~repro.transport.jit.kernels` — the ``@njit`` stage kernels
   (search + gather + interpolate, accumulate), written as exact loop-nest
   twins of the banked NumPy applies;

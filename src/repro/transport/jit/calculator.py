@@ -87,8 +87,8 @@ class JitXSCalculator:
 
     def __getattr__(self, name: str):
         # Only called for attributes not found on the proxy itself:
-        # library, union, soa, use_sab/use_urr, layout, scalar,
-        # material_plan, banked_outer, soa_local_indices, ...
+        # library, union, use_sab/use_urr, layout, scalar,
+        # material_plan, banked_outer, ...
         return getattr(self.calc, name)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

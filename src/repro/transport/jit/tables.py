@@ -1,14 +1,14 @@
-"""Cache-friendly typed-tuple views of the SoA side-tables.
+"""Cache-friendly typed-tuple views of the library's flat arrays.
 
 The compiled kernels take plain contiguous typed arrays — no Python
 objects — so this module flattens the pieces the NumPy path
-reaches through attribute chains (:class:`~repro.data.soa.SoALibrary`
-rows, :class:`~repro.physics.macroxs.MaterialPlan` offsets, the unionized
-grid's rank words) into two ``NamedTuple`` views:
+reaches through attribute chains (the library's flat rows — the library is
+the SoA — :class:`~repro.physics.macroxs.MaterialPlan` offsets, the
+unionized grid's rank words) into two ``NamedTuple`` views:
 
 * :class:`LibraryView` — one per :class:`XSCalculator`: the flat union
   energy grid, the raveled per-nuclide rank words and their step-bit count,
-  the concatenated SoA energy grid, and the three reaction rows the
+  the library's concatenated energy grid, and the three reaction rows the
   transport kernels gather (elastic / capture / fission).
 * :class:`PlanView` — one per cached ``MaterialPlan``: dense offsets, row
   offsets into the raveled rank words, densities, and the fission
@@ -16,11 +16,10 @@ grid's rank words) into two ``NamedTuple`` views:
 
 NamedTuples of arrays are a natural numba argument type (each field lowers
 to a typed array), and building them is pure aliasing — every field is a
-zero-copy view of arrays the calculator already owns, so a view costs a
-few hundred bytes however large the library is.  Views are cached on
-``id()`` keyed dicts exactly like the calculator's own MaterialPlan cache
-(the plan's material reference keeps the id stable for the cache's
-lifetime).
+zero-copy view of arrays the library, the grid or the plan already owns, so
+a view costs a few hundred bytes however large the library is.  Each view is
+kept on its owner (``calc.kernel_view`` / ``plan.kernel_view``) and dies with
+it.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ class LibraryView(NamedTuple):
     #: the number of step bits in each (``calc.union.step_bits``).
     union_words_flat: np.ndarray
     union_step_bits: int
-    #: Concatenated per-nuclide energy grids (SoA), ``(total_points,)``.
+    #: The library's concatenated energy grids, ``(total_points,)``.
     energy: np.ndarray
     #: The three gathered reaction rows, each ``(total_points,)``.
     elastic: np.ndarray
@@ -55,7 +54,7 @@ class LibraryView(NamedTuple):
 class PlanView(NamedTuple):
     """Kernel-ready per-material metadata (one per MaterialPlan)."""
 
-    #: Start of each material nuclide's grid in the flat SoA arrays.
+    #: Start of each material nuclide's grid in the library's flat arrays.
     offsets: np.ndarray
     #: Row offsets into the raveled rank words (``ids * words_per_row``).
     union_rowoff: np.ndarray
@@ -66,42 +65,33 @@ class PlanView(NamedTuple):
     nu0: np.ndarray
 
 
-_LIBRARY_VIEWS: dict[int, tuple[XSCalculator, LibraryView]] = {}
-_PLAN_VIEWS: dict[int, tuple[MaterialPlan, PlanView]] = {}
-
-
 def library_view(calc: XSCalculator) -> LibraryView:
-    """Cached :class:`LibraryView` of ``calc`` (requires a union grid)."""
-    cached = _LIBRARY_VIEWS.get(id(calc))
-    if cached is not None:
-        return cached[1]
-    if calc.union is None:
-        raise ValueError("library_view requires a unionized grid")
-    soa = calc.soa
-    view = LibraryView(
-        union_energy=np.ascontiguousarray(calc.union.energy),
-        union_words_flat=np.ascontiguousarray(calc.union.words.ravel()),
-        union_step_bits=calc.union.step_bits,
-        energy=np.ascontiguousarray(soa.energy),
-        elastic=np.ascontiguousarray(soa.xs[Reaction.ELASTIC]),
-        capture=np.ascontiguousarray(soa.xs[Reaction.CAPTURE]),
-        fission=np.ascontiguousarray(soa.xs[Reaction.FISSION]),
-    )
-    _LIBRARY_VIEWS[id(calc)] = (calc, view)
-    return view
+    """The calculator's :class:`LibraryView`, built on first use (requires
+    a union grid)."""
+    if calc.kernel_view is None:
+        if calc.union is None:
+            raise ValueError("library_view requires a unionized grid")
+        library = calc.library
+        calc.kernel_view = LibraryView(
+            union_energy=np.ascontiguousarray(calc.union.energy),
+            union_words_flat=np.ascontiguousarray(calc.union.words.ravel()),
+            union_step_bits=calc.union.step_bits,
+            energy=np.ascontiguousarray(library.energy),
+            elastic=np.ascontiguousarray(library.xs[Reaction.ELASTIC]),
+            capture=np.ascontiguousarray(library.xs[Reaction.CAPTURE]),
+            fission=np.ascontiguousarray(library.xs[Reaction.FISSION]),
+        )
+    return calc.kernel_view
 
 
 def plan_view(plan: MaterialPlan) -> PlanView:
-    """Cached :class:`PlanView` of one material's plan."""
-    cached = _PLAN_VIEWS.get(id(plan))
-    if cached is not None:
-        return cached[1]
-    view = PlanView(
-        offsets=np.ascontiguousarray(plan.offsets.astype(np.int64, copy=False)),
-        union_rowoff=np.ascontiguousarray(plan.union_rowoff),
-        rho=np.ascontiguousarray(plan.rho),
-        fissionable=np.ascontiguousarray(plan.fissionable.astype(np.bool_)),
-        nu0=np.ascontiguousarray(plan.nu0),
-    )
-    _PLAN_VIEWS[id(plan)] = (plan, view)
-    return view
+    """The plan's :class:`PlanView`, built on first use."""
+    if plan.kernel_view is None:
+        plan.kernel_view = PlanView(
+            offsets=np.ascontiguousarray(plan.offsets.astype(np.int64, copy=False)),
+            union_rowoff=np.ascontiguousarray(plan.union_rowoff),
+            rho=np.ascontiguousarray(plan.rho),
+            fissionable=np.ascontiguousarray(plan.fissionable.astype(np.bool_)),
+            nu0=np.ascontiguousarray(plan.nu0),
+        )
+    return plan.kernel_view

@@ -508,10 +508,10 @@ class FissionKernel(StageKernel):
         terminates the sub-bank)."""
         calc = ctx.calculator
         counters = ctx.counters
-        soa = calc.soa
+        library = ctx.library
         for material, pos in material_tiles(ctx, bank.material[fis]):
             grp = fis[pos]
-            ids, _ = material.resolve(ctx.library)
+            ids, _ = material.resolve(library)
             # A workspace view, used up by the sampling two lines down.
             weights = calc._attribution_block(
                 material, bank.energy[grp], Reaction.FISSION, counters
@@ -520,7 +520,7 @@ class FissionKernel(StageKernel):
             which = sample_index_many(weights, xi_nuc)
             nuclide_ids = ids[which]
             nu_bar = (
-                soa.nu0[nuclide_ids] + NU_THERMAL_SLOPE * bank.energy[grp]
+                library.nu0[nuclide_ids] + NU_THERMAL_SLOPE * bank.energy[grp]
             ) * bank.weight[grp]
             states, xi_nu = prn_array(states)
             bank.rng_state[grp] = states
@@ -539,7 +539,7 @@ class FissionKernel(StageKernel):
                 # whole group.
                 nid0 = int(nuclide_ids[0])
                 e_birth, new_states = watt_spectrum_many(
-                    float(soa.watt_a[nid0]), float(soa.watt_b[nid0]),
+                    float(library.watt_a[nid0]), float(library.watt_b[nid0]),
                     bank.rng_state[sub],
                 )
                 bank.rng_state[sub] = new_states
@@ -602,15 +602,15 @@ class ScatterKernel(StageKernel):
         self, ctx: TransportContext, bank: ParticleBank, sct: np.ndarray
     ) -> None:
         """Vectorized scattering: nuclide attribution then the three
-        kinematics sub-banks, gathered from the SoA side-tables."""
+        kinematics sub-banks, gathered from the library's side-tables."""
         calc = ctx.calculator
         counters = ctx.counters
-        soa = calc.soa
+        library = ctx.library
         chosen = np.empty(sct.size, dtype=np.int64)  # global nuclide ids
 
         for material, pos in material_tiles(ctx, bank.material[sct]):
             grp = sct[pos]
-            ids, _ = material.resolve(ctx.library)
+            ids, _ = material.resolve(library)
             weights = calc._attribution_block(
                 material, bank.energy[grp], Reaction.ELASTIC, counters
             )
@@ -621,10 +621,12 @@ class ScatterKernel(StageKernel):
             chosen[pos] = ids[which]
 
         energies = bank.energy[sct]
-        # Per-target metadata as gathers out of the SoA side-tables — no
+        # Per-target metadata as gathers out of the library's side-tables — no
         # Python loop over the chosen nuclides.
         if calc.use_sab:
-            sab_mask = soa.has_sab[chosen] & (energies < soa.sab_cutoff[chosen])
+            sab_mask = library.has_sab[chosen] & (
+                energies < library.sab_cutoff[chosen]
+            )
         else:
             sab_mask = np.zeros(sct.size, dtype=bool)
         fg_mask = (~sab_mask) & (energies < ctx.free_gas_cutoff)
@@ -645,7 +647,7 @@ class ScatterKernel(StageKernel):
             # group by nuclide id to stay general.
             for nid in np.unique(nids):
                 m = nids == nid
-                table = soa.sab_tables[int(nid)]
+                table = library.sab_tables[int(nid)]
                 e_out, mu = table.sample_many(
                     bank.energy[idx[m]], xi1[m], xi2[m]
                 )
@@ -664,7 +666,7 @@ class ScatterKernel(StageKernel):
                 states, xi[:, c] = prn_array(states)
             bank.rng_state[idx] = states
             counters.rn_draws += 7 * idx.size
-            awr = calc.soa.awr[nids]
+            awr = library.awr[nids]
             e_out, dir_out = free_gas_scatter_many(
                 bank.energy[idx], bank.direction[idx], awr, ctx.temperature, xi
             )
@@ -680,7 +682,7 @@ class ScatterKernel(StageKernel):
             states, xi_phi = prn_array(states)
             bank.rng_state[idx] = states
             counters.rn_draws += 2 * idx.size
-            awr = calc.soa.awr[nids]
+            awr = library.awr[nids]
             e_out, mu_lab = elastic_scatter_many(bank.energy[idx], awr, xi_mu)
             bank.direction[idx] = rotate_direction_many(
                 bank.direction[idx], mu_lab, 2.0 * np.pi * xi_phi

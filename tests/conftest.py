@@ -1,5 +1,7 @@
 """Shared fixtures: tiny libraries/grids built once per test session."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,24 @@ def large_library(tiny_config):
 @pytest.fixture(scope="session")
 def small_union(small_library):
     return UnionizedGrid(small_library)
+
+
+@pytest.fixture()
+def write_schema1_library():
+    """Writes a library file as schema 1 spelt it (two members per
+    nuclide) — what a cache directory from before the bump holds."""
+
+    def write(path):
+        meta = {"schema": 1, "model": "hm-small", "config": {},
+                "nuclides": [], "urr": [], "sab": []}
+        with open(path, "wb") as fh:
+            np.savez_compressed(
+                fh,
+                **{"nuc/U238/energy": np.ones(3), "nuc/U238/xs": np.ones((4, 3))},
+                __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+            )
+
+    return write
 
 
 @pytest.fixture()

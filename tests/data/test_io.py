@@ -1,5 +1,7 @@
 """Tests for library serialization round-trips."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,39 @@ class TestRoundTrip:
         )
 
 
+class TestFileForm:
+    """The file is the library's three flat arrays, under the name given."""
+
+    @pytest.mark.parametrize("name", ["lib", "lib.dat", "lib.npz"])
+    def test_the_name_given_is_the_name_written(
+        self, small_library, tmp_path, name
+    ):
+        target = tmp_path / "out" / name
+        target.parent.mkdir()
+        save_library(small_library, str(target))
+        assert [p.name for p in target.parent.iterdir()] == [name]
+        assert load_library(str(target)).names == small_library.names
+
+    def test_three_pointwise_members_whatever_the_nuclide_count(
+        self, small_library, large_library, path
+    ):
+        for library in (small_library, large_library):
+            save_library(library, path)
+            with np.load(path) as data:
+                pointwise = {
+                    m for m in data.files if not m.startswith(("urr/", "sab/"))
+                }
+                assert pointwise == {"energy", "xs", "offsets", "__meta__"}
+                assert data["energy"].shape == library.energy.shape
+                assert data["offsets"].shape == (len(library) + 1,)
+
+    def test_stream_round_trip(self, small_library):
+        buf = io.BytesIO()
+        save_library(small_library, buf)
+        loaded = load_library(io.BytesIO(buf.getvalue()))
+        np.testing.assert_array_equal(loaded.xs, small_library.xs)
+
+
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -84,3 +119,30 @@ class TestErrors:
         np.savez(bogus, a=np.ones(3))
         with pytest.raises(DataError):
             load_library(bogus)
+
+    def test_schema_1_file_is_a_typed_error(self, path, write_schema1_library):
+        write_schema1_library(path)
+        with pytest.raises(DataError, match="schema 1"):
+            load_library(path)
+
+    def test_malformed_bytes_fail_typed(self, small_library, path):
+        """Garbage, a torn archive, a missing member, a nuclide list that
+        disagrees with the offsets: always ``DataError``, naming the file."""
+        buf = io.BytesIO()
+        save_library(small_library, buf)
+        whole = buf.getvalue()
+        with np.load(io.BytesIO(whole)) as data:
+            members = {name: data[name] for name in data.files}
+        no_xs = io.BytesIO()
+        np.savez(no_xs, **{k: v for k, v in members.items() if k != "xs"})
+        short = io.BytesIO()
+        np.savez(short, **{**members, "offsets": members["offsets"][:-1]})
+        for blob in (
+            b"", b"not a real npz", whole[: len(whole) // 2],
+            no_xs.getvalue(), short.getvalue(),
+        ):
+            path.write_bytes(blob)
+            with pytest.raises(DataError, match="library.npz"):
+                load_library(path)
+            with pytest.raises(DataError, match="<stream>"):
+                load_library(io.BytesIO(blob))

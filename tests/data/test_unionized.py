@@ -21,6 +21,15 @@ class StubNuclide:
     find_index_many = Nuclide.find_index_many
 
 
+class StubLibrary(list):
+    """What :class:`UnionizedGrid` reads off a library: the nuclides in
+    order and their grids as one flat array."""
+
+    @property
+    def energy(self):
+        return np.concatenate([n.energy for n in self])
+
+
 def all_indices(union, i):
     """Row ``i`` of the map the rank words encode: ``j`` at every union
     point."""
@@ -110,11 +119,11 @@ class TestRankWords:
     def test_inner_range_and_two_point_grids(self):
         """A nuclide strictly inside the union's range hits both clamps;
         a 2-point grid has no step at all."""
-        library = [
+        library = StubLibrary([
             StubNuclide(np.linspace(1.0, 100.0, 34)),
             StubNuclide([20.0, 30.5, 31.0, 40.0, 55.5]),
             StubNuclide([10.0, 60.0]),
-        ]
+        ])
         union = UnionizedGrid(library)
         inner, two = all_indices(union, 1), all_indices(union, 2)
         assert inner[0] == 0 and union.energy[0] < library[1].energy[0]
@@ -133,7 +142,7 @@ class TestRankWords:
     )
     @settings(max_examples=100, deadline=None)
     def test_random_grids_property(self, grids):
-        library = [StubNuclide(g) for g in grids]
+        library = StubLibrary(StubNuclide(g) for g in grids)
         assert_matches_direct_search(UnionizedGrid(library), library)
 
     @given(
@@ -167,7 +176,7 @@ class TestRankWords:
         if covered.size < n_union:  # an odd point the chunks left over
             left = np.setdiff1d(np.arange(n_union), covered)
             picks.append(np.r_[0, left, n_union - 1][: max(widest, 2)])
-        library = [StubNuclide(points[np.unique(p)]) for p in picks]
+        library = StubLibrary(StubNuclide(points[np.unique(p)]) for p in picks)
         union = UnionizedGrid(library)
         assert union.step_bits == w and union.n_union == n_union
         assert_matches_direct_search(union, library)
@@ -189,10 +198,10 @@ class TestIndexWidth:
         for n_points, step_bits in [
             (65536, 48), (65537, 48), (65538, 47), (2**20, 44), (2**20 + 2, 43),
         ]:
-            library = [
+            library = StubLibrary([
                 StubNuclide(np.arange(1.0, n_points + 1.0)),
                 StubNuclide([0.5, 2.0 * n_points]),
-            ]
+            ])
             union = UnionizedGrid(library)
             assert union.step_bits == step_bits
             j = all_indices(union, 0)
@@ -215,7 +224,7 @@ class TestIndexWidth:
         from repro.transport.tally import GlobalTallies
 
         stub = StubNuclide(np.geomspace(1e-11, 20.0, 65537))
-        wide_union = UnionizedGrid([*small_library, stub])
+        wide_union = UnionizedGrid(StubLibrary([*small_library, stub]))
         assert (small_union.step_bits, wide_union.step_bits) == (56, 48)
         assert_matches_direct_search(wide_union, small_library)
 

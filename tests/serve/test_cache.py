@@ -2,6 +2,7 @@
 
 import hashlib
 import multiprocessing as mp
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +112,42 @@ class TestDigestVerification:
         _, outcome = cache.get_or_build("hm-small", TINY)
         assert outcome.source == "built"
         assert cache.corrupt_entries == 1
+
+    def test_schema_1_entry_is_quarantined_and_rebuilt(
+        self, tmp_path, write_schema1_library
+    ):
+        """An entry an older version published verifies but no longer
+        parses: the typed ``DataError`` is a quarantine + rebuild."""
+        cache, path = self.warm(tmp_path)
+        write_schema1_library(path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        cache.digest_path_for(path).write_text(digest + "\n")
+        lib, outcome = cache.get_or_build("hm-small", TINY)
+        assert outcome.source == "built"
+        assert cache.corrupt_entries == 1
+        assert len(lib) == 43
+        assert path.with_suffix(".corrupt").exists()
+
+    def test_a_disk_hit_reads_the_npz_once(self, tmp_path, monkeypatch):
+        """The bytes parsed are the bytes verified: one read of the file,
+        and numpy is handed those bytes, never the path."""
+        cache, path = self.warm(tmp_path)
+        reads = []
+        read_bytes, np_load = Path.read_bytes, np.load
+        monkeypatch.setattr(
+            Path, "read_bytes",
+            lambda self: reads.append(self) or read_bytes(self),
+        )
+
+        def load(file, *args, **kwargs):
+            if isinstance(file, (str, Path)):
+                reads.append(Path(file))
+            return np_load(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", load)
+        _, outcome = cache.get_or_build("hm-small", TINY)
+        assert outcome.source == "disk-cache"
+        assert reads == [path]
 
     def test_stats_export(self, tmp_path):
         cache, path = self.warm(tmp_path)

@@ -258,6 +258,24 @@ class TestReproSim:
         assert rc == 0
         assert "loaded library" in capsys.readouterr().out
 
+    def test_save_library_writes_the_name_given(self, tmp_path, capsys):
+        """A suffix-less ``--save-library`` name is the file written (numpy
+        used to append ``.npz``), and ``--library`` finds it again."""
+        path = tmp_path / "out" / "lib"
+        path.parent.mkdir()
+        assert sim_main(
+            ["run", "--pincell", "--fidelity", "tiny",
+             "--save-library", str(path)]
+        ) == 0
+        assert f"saved to {path}" in capsys.readouterr().out
+        assert [p.name for p in path.parent.iterdir()] == ["lib"]
+        rc = sim_main(
+            ["run", "--pincell", "--library", str(path), "--particles", "40",
+             "--batches", "2", "--inactive", "0"]
+        )
+        assert rc == 0
+        assert "loaded library" in capsys.readouterr().out
+
     def test_stripped_physics_flags(self, capsys):
         rc = sim_main(
             ["run", "--pincell", "--particles", "40", "--batches", "2",

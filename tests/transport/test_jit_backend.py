@@ -110,7 +110,7 @@ class TestProxy:
         proxy = JitXSCalculator(calc)
         assert proxy.library is calc.library
         assert proxy.union is calc.union
-        assert proxy.soa is calc.soa
+        assert proxy.workspace is calc.workspace
         assert proxy.use_sab is calc.use_sab
 
     def test_no_proxy_stacking(self, calc):
@@ -299,6 +299,36 @@ class TestKernels:
         assert view.union_words_flat.dtype == np.uint64
         assert view.union_step_bits == calc.union.step_bits
         assert np.shares_memory(view.union_words_flat, calc.union.words)
+
+    def test_library_view_aliases_the_library_rows(self, calc):
+        """The flat rows are the library's own storage, contiguous and
+        typed as the compiled kernels need them — aliased, not copied."""
+        view = library_view(calc)
+        library = calc.library
+        assert np.shares_memory(view.energy, library.energy)
+        for row in (view.energy, view.elastic, view.capture, view.fission):
+            assert row.dtype == np.float64 and row.flags.c_contiguous
+            assert row.shape == library.energy.shape
+        for row in (view.elastic, view.capture, view.fission):
+            assert np.shares_memory(row, library.xs)
+
+    def test_views_die_with_their_owner(self, small_library, union, fuel):
+        """A worker builds one calculator per job: nothing module-global
+        may keep a viewed calculator (or its plans) alive."""
+        import gc
+        import weakref
+
+        calc = XSCalculator(small_library, union)
+        proxy = JitXSCalculator(calc, compiled="force")
+        proxy.banked(
+            fuel, np.geomspace(1e-9, 10.0, 5), np.arange(1, 6, dtype=np.uint64)
+        )
+        assert calc.kernel_view is not None
+        # (A plan is slotted, not weak-referenceable: its own array stands in.)
+        refs = [weakref.ref(calc), weakref.ref(calc.material_plan(fuel).offsets)]
+        del calc, proxy
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_library_view_requires_union(self, small_library):
         with pytest.raises(ValueError, match="union"):
