@@ -1,6 +1,6 @@
 """Library serialization: the file form of :class:`NuclideLibrary`.
 
-Building a paper-fidelity H.M. Large library takes seconds; repeated
+Building a paper-fidelity H.M. Large library takes a second; repeated
 benchmark sessions (and downstream users who want a *fixed* data file
 rather than a generator) benefit from caching the built arrays.  The format
 is a single compressed ``.npz`` holding the library's three flat arrays
@@ -26,7 +26,6 @@ import numpy as np
 
 from ..errors import DataError
 from .library import LibraryConfig, NuclideLibrary
-from .nuclide import Nuclide
 from .sab import SabTable
 from .urr import URRTable
 
@@ -97,11 +96,13 @@ def load_library(file: str | Path | BinaryIO) -> NuclideLibrary:
             raise DataError(f"no library file at {file}") from None
         with fh:
             return load_library(fh)
+    name = getattr(file, "name", "<stream>")
     try:
         with np.load(file) as data:
             return _parse(data)
+    except DataError as exc:
+        raise DataError(f"{name}: {exc}") from exc
     except _MALFORMED as exc:
-        name = getattr(file, "name", "<stream>")
         raise DataError(f"{name} is not a repro library file: {exc!r}") from exc
 
 
@@ -112,13 +113,6 @@ def _parse(data) -> NuclideLibrary:
             f"unsupported library schema {meta.get('schema')!r} "
             f"(expected {_SCHEMA_VERSION})"
         )
-    energy, xs, offsets = data["energy"], data["xs"], data["offsets"]
-    nuclides = [
-        Nuclide(energy=energy[lo:hi], xs=xs[:, lo:hi], **info)
-        for info, lo, hi in zip(
-            meta["nuclides"], offsets[:-1], offsets[1:], strict=True
-        )
-    ]
     urr = {
         name: URRTable(**{k: data[f"urr/{name}/{k}"] for k in _URR_ARRAYS})
         for name in meta["urr"]
@@ -128,4 +122,7 @@ def _parse(data) -> NuclideLibrary:
         for name in meta["sab"]
     }
     config = LibraryConfig(**meta["config"])
-    return NuclideLibrary(nuclides, urr, sab, config, meta["model"])
+    return NuclideLibrary.from_packed(
+        data["energy"], data["xs"], data["offsets"], meta["nuclides"],
+        urr, sab, config, meta["model"],
+    )

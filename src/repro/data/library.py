@@ -22,14 +22,15 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from ..errors import DataError
-from ..types import Reaction
+from ..types import N_REACTIONS, Reaction
 from .nuclide import Nuclide
-from .resonance import build_energy_grid, reconstruct_xs, sample_ladder
+from .resonance import build_energy_grid, reconstruct_into, sample_ladder
 from .sab import SabTable, build_sab_table
 from .urr import URRTable, build_urr_table
 
@@ -161,10 +162,15 @@ def _mass_number(name: str) -> int:
     return a
 
 
-def build_nuclide(
-    name: str, config: LibraryConfig
-) -> tuple[Nuclide, URRTable | None, SabTable | None]:
-    """Build one nuclide (and its URR/S(a,b) attachments) deterministically."""
+def _offsets(grids) -> np.ndarray:
+    """Start offsets of consecutive grids in the flat arrays."""
+    return np.concatenate([[0], np.cumsum([g.size for g in grids], dtype=np.int64)])
+
+
+def _plan_nuclide(name: str, config: LibraryConfig):
+    """One nuclide up to its cross sections: the scalar :class:`Nuclide`
+    fields, the ladder, the grid (its share of the library's flat arrays) and
+    the URR/S(a,b) attachments, in one draw order from the nuclide's stream."""
     rng = _nuclide_rng(config, name)
     a = _mass_number(name)
     awr = 0.99917 * a if a > 1 else 0.99917
@@ -246,13 +252,6 @@ def build_nuclide(
         n_base=config.n_base_points,
         points_per_resonance=config.points_per_resonance,
     )
-    parts = reconstruct_xs(
-        ladder, grid, awr=awr, temperature=config.temperature
-    )
-    xs = np.stack(
-        [parts["total"], parts["elastic"], parts["capture"], parts["fission"]]
-    )
-
     urr: URRTable | None = None
     has_urr = a >= 225
     urr_emin = urr_emax = 0.0
@@ -281,11 +280,9 @@ def build_nuclide(
             n_mu=config.sab_n_mu,
         )
 
-    nuclide = Nuclide(
+    scalars = dict(
         name=name,
         awr=awr,
-        energy=grid,
-        xs=xs,
         fissionable=fissionable,
         nu0=2.43 if fissile else 2.8,
         has_urr=has_urr,
@@ -293,7 +290,19 @@ def build_nuclide(
         urr_emax=urr_emax,
         has_sab=sab is not None,
     )
-    return nuclide, urr, sab
+    return scalars, ladder, grid, urr, sab
+
+
+def build_nuclide(
+    name: str, config: LibraryConfig
+) -> tuple[Nuclide, URRTable | None, SabTable | None]:
+    """Build one nuclide (and its URR/S(a,b) attachments) deterministically."""
+    scalars, ladder, grid, urr, sab = _plan_nuclide(name, config)
+    xs = np.empty((N_REACTIONS, grid.size))
+    reconstruct_into(
+        ladder, grid, xs, awr=scalars["awr"], temperature=config.temperature
+    )
+    return Nuclide(energy=grid, xs=xs, **scalars), urr, sab
 
 
 class NuclideLibrary:
@@ -304,10 +313,11 @@ class NuclideLibrary:
     This is the paper's AoS -> SoA transformation (§III-A1) and the one
     owner of the floats: the constructor packs the nuclides it is given and
     rebinds each ``Nuclide.energy`` / ``Nuclide.xs`` to a view of the flat
-    storage, so per-nuclide (history) and flat (banked, compiled) consumers
-    read the same memory.  Nuclide order is stable and indexable
-    (``library.index(name)``) because the transport kernels address
-    nuclides by dense integer id.
+    storage (:meth:`from_packed`, the builder's and the loader's way in,
+    adopts arrays that are flat already), so per-nuclide (history) and flat
+    (banked, compiled) consumers read the same memory.  Nuclide order is
+    stable and indexable (``library.index(name)``) because the transport
+    kernels address nuclides by dense integer id.
 
     Attributes
     ----------
@@ -340,28 +350,57 @@ class NuclideLibrary:
         config: LibraryConfig,
         model: str,
     ) -> None:
-        self._nuclides = list(nuclides)
-        if not self._nuclides:
+        nuclides = list(nuclides)
+        if not nuclides:
             raise DataError("a library needs at least one nuclide")
-        self._by_name = {n.name: n for n in self._nuclides}
-        if len(self._by_name) != len(self._nuclides):
+        grids = [n.energy for n in nuclides]
+        offsets, energy = _offsets(grids), np.concatenate(grids)
+        xs = np.concatenate([n.xs for n in nuclides], axis=1)
+        for nuc, lo, hi in zip(nuclides, offsets, offsets[1:]):
+            nuc.energy = energy[lo:hi]
+            nuc.xs = xs[:, lo:hi]
+        self._adopt(nuclides, energy, xs, offsets, urr, sab, config, model)
+
+    @classmethod
+    def from_packed(
+        cls, energy: np.ndarray, xs: np.ndarray, offsets: np.ndarray,
+        scalars: Sequence[dict], urr: dict[str, URRTable], sab: dict[str, SabTable],
+        config: LibraryConfig, model: str,
+    ) -> "NuclideLibrary":
+        """Adopt flat arrays as they stand, without a copy: ``scalars[i]`` are
+        nuclide ``i``'s non-array :class:`Nuclide` fields, and each nuclide is
+        created (and so validated) as a view of its slice."""
+        if (
+            not scalars
+            or (energy.dtype, xs.dtype, offsets.dtype) != (float, float, np.int64)
+            or xs.shape != (N_REACTIONS, energy.size)
+            or offsets.shape != (len(scalars) + 1,)
+            or (offsets[0], offsets[-1]) != (0, energy.size)
+        ):
+            raise DataError("packed library arrays do not fit together")
+        nuclides = [
+            Nuclide(energy=energy[lo:hi], xs=xs[:, lo:hi], **info)
+            for info, lo, hi in zip(scalars, offsets, offsets[1:])
+        ]
+        self = cls.__new__(cls)
+        self._adopt(nuclides, energy, xs, offsets, urr, sab, config, model)
+        return self
+
+    def _adopt(self, nuclides, energy, xs, offsets, urr, sab, config, model):
+        """The one way in: ``nuclides`` are already views of the arrays."""
+        self._nuclides = nuclides
+        self._by_name = {n.name: n for n in nuclides}
+        if len(self._by_name) != len(nuclides):
             raise DataError("duplicate nuclide names in library")
-        self._index = {n.name: i for i, n in enumerate(self._nuclides)}
+        self._index = {n.name: i for i, n in enumerate(nuclides)}
         self.urr = dict(urr)
         self.sab = dict(sab)
         self.config = config
         self.model = model
-
-        sizes = [n.n_points for n in self._nuclides]
-        self.offsets = np.concatenate([[0], np.cumsum(sizes, dtype=np.int64)])
-        self.energy = np.concatenate([n.energy for n in self._nuclides])
-        self.xs = np.concatenate([n.xs for n in self._nuclides], axis=1)
-        for nuc, lo, hi in zip(self._nuclides, self.offsets, self.offsets[1:]):
-            nuc.energy = self.energy[lo:hi]
-            nuc.xs = self.xs[:, lo:hi]
+        self.energy, self.xs, self.offsets = energy, xs, offsets
 
         def column(attr: str) -> np.ndarray:
-            return np.array([getattr(n, attr) for n in self._nuclides])
+            return np.array([getattr(n, attr) for n in nuclides])
 
         self.awr = column("awr")
         self.nu0 = column("nu0")
@@ -373,7 +412,7 @@ class NuclideLibrary:
         self.urr_emax = column("urr_emax")
         self.has_sab = column("has_sab")
         self.sab_tables = [
-            self.sab[n.name] if n.has_sab else None for n in self._nuclides
+            self.sab[n.name] if n.has_sab else None for n in nuclides
         ]
         self.sab_cutoff = np.array(
             [t.cutoff if t is not None else 0.0 for t in self.sab_tables]
@@ -466,14 +505,22 @@ def build_library(
     """
     config = config or LibraryConfig()
     names = fuel_nuclide_names(model) + CLAD_NUCLIDES + WATER_NUCLIDES
-    nuclides: list[Nuclide] = []
-    urr: dict[str, URRTable] = {}
-    sab: dict[str, SabTable] = {}
-    for name in names:
-        nuc, u, s = build_nuclide(name, config)
-        nuclides.append(nuc)
-        if u is not None:
-            urr[name] = u
-        if s is not None:
-            sab[name] = s
-    return NuclideLibrary(nuclides, urr, sab, config, model)
+    # Plan, then fill: the ladders and grids fix the offsets, and each
+    # nuclide's cross sections are reconstructed straight into its slice.
+    scalars, ladders, grids, urr, sab = zip(
+        *(_plan_nuclide(name, config) for name in names)
+    )
+    offsets = _offsets(grids)
+    energy = np.concatenate(grids)
+    xs = np.empty((N_REACTIONS, energy.size))
+    for info, ladder, lo, hi in zip(scalars, ladders, offsets, offsets[1:]):
+        reconstruct_into(
+            ladder, energy[lo:hi], xs[:, lo:hi],
+            awr=info["awr"], temperature=config.temperature,
+        )
+    return NuclideLibrary.from_packed(
+        energy, xs, offsets, scalars,
+        {n: t for n, t in zip(names, urr) if t is not None},
+        {n: t for n, t in zip(names, sab) if t is not None},
+        config, model,
+    )

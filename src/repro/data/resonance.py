@@ -25,9 +25,11 @@ import numpy as np
 
 from ..constants import ENERGY_MAX, ENERGY_MIN
 from ..errors import DataError
+from ..types import N_REACTIONS, Reaction
 from .doppler import doppler_zeta, psi_chi
 
-__all__ = ["ResonanceLadder", "sample_ladder", "reconstruct_xs", "build_energy_grid"]
+__all__ = ["ResonanceLadder", "sample_ladder", "build_energy_grid",
+           "reconstruct_xs", "reconstruct_into"]
 
 #: Peak-cross-section prefactor :math:`4\pi\lambda\!\!\bar{}^2 = 2.608\times
 #: 10^6 / E[\mathrm{eV}]` barns, i.e. ``2.608 barn-MeV`` with energies in MeV
@@ -38,6 +40,12 @@ SIGMA0_CONST_BARN_MEV = 2.608
 #: interference term so its 1/x tails do not swamp potential scattering far
 #: from resonance — multi-level evaluations cancel those tails physically.
 _INTERFERENCE_TAPER = 30.0
+
+#: Beyond this |x| the taper is exactly 0.0 (``exp(t) == 0.0`` for ``t < -745.2``).
+_TAPER_ZERO = _INTERFERENCE_TAPER * 750.0**0.5
+
+#: Energy-grid columns per block of :func:`reconstruct_into` (see its cost model).
+_BLOCK = 256
 
 
 @dataclass
@@ -182,8 +190,9 @@ def reconstruct_xs(
 ) -> dict[str, np.ndarray]:
     r"""Evaluate SLBW pointwise cross sections on an energy grid.
 
-    Returns a dict with keys ``"elastic"``, ``"capture"``, ``"fission"`` and
-    ``"total"`` (barns).  Components:
+    Returns a dict with keys ``"total"``, ``"elastic"``, ``"capture"`` and
+    ``"fission"`` (barns): the rows of one array filled by
+    :func:`reconstruct_into`.  Components:
 
     * capture/fission: :math:`\sigma_0 (\Gamma_x/\Gamma) \sqrt{E_0/E}\,
       \psi(\zeta, x)` summed over resonances, plus a :math:`1/v` thermal tail;
@@ -192,78 +201,109 @@ def reconstruct_xs(
       \chi ]` (interference approximated with a fixed ratio);
     * total: the sum.
 
-    The evaluation cost is O(n_resonances × n_energies) — batched over
-    energies with NumPy, which is itself an instance of the paper's theme
-    (vectorize the inner loop).  The Faddeeva function is only evaluated
-    within ``wofz_window`` half-widths of each line center; beyond that,
-    Doppler broadening is negligible and the cheap natural (0 K) Lorentzian
-    shape is used, keeping library construction fast for 320-nuclide models.
+    Cost model: O(n_resonances × n_energies) pairs (32 M for H.M. Large) in
+    one pass over blocks of ``_BLOCK`` grid columns on three reused
+    ``(n_resonances, block)`` workspaces.  Dense: 11 passes for ``x``, the
+    natural :math:`\psi = 1/(1+x^2)`, :math:`\sqrt{E_0/E}` and the window
+    test, then two multiplies and a column sum per channel (no fission channel
+    when every :math:`\Gamma_f` is zero).  :math:`\chi`, its taper, the
+    interference product and the Faddeeva :math:`\psi, \chi` (within
+    ``wofz_window`` half-widths of a line) run on the gathered pairs with
+    ``|x| <= max(wofz_window, 30 sqrt(750))``, 1.5 % of them by default.  That
+    is exact: beyond it the taper ``exp(t)``, ``t < -750``, is ``0.0`` in
+    float64 and adding the ``±0.0`` product changes no bit; every element sees
+    the dense formulation's operations and every column its sum in the same
+    order, so results equal it bit for bit (``tests/data/oracle.py``).
+    Measured, 4 MiB-L2 Xeon: 16 ns/pair against the dense form's 79 (150 ×
+    2550 actinide, 3 MB temporaries) and 35 (60 × 1380), flat from 192 to 4096
+    columns: narrower blocks pay NumPy's per-row loop overhead, wider ones
+    only grow the footprint (0.9 MB at 256, 9 MB unblocked).
     """
+    out = np.empty((N_REACTIONS, np.size(energies)))
+    reconstruct_into(
+        ladder, energies, out,
+        awr=awr, temperature=temperature, wofz_window=wofz_window,
+    )
+    return {r.name.lower(): out[r] for r in Reaction}
+
+
+def reconstruct_into(
+    ladder: ResonanceLadder, energies: np.ndarray, out: np.ndarray,
+    *, awr: float, temperature: float, wofz_window: float = 50.0,
+) -> None:
+    """:func:`reconstruct_xs` written into ``out``, a ``(N_REACTIONS,
+    n_energies)`` array (or view) with rows by :class:`~repro.types.Reaction`."""
     energies = np.asarray(energies, dtype=float)
-    if np.any(energies <= 0):
-        raise DataError("energies must be positive")
-    n_e = energies.shape[0]
-    elastic = np.full(n_e, ladder.sigma_pot, dtype=float)
-    capture = np.zeros(n_e, dtype=float)
-    fission = np.zeros(n_e, dtype=float)
+    if energies.ndim != 1 or out.shape != (N_REACTIONS, energies.size):
+        raise DataError("energies must be 1-D and out (N_REACTIONS, n_energies)")
+    if not np.all(np.isfinite(energies)) or np.any(energies <= 0):
+        raise DataError("energies must be positive and finite")
+    n_e, n_res = energies.size, ladder.n_resonances
+    elastic, capture, fission = (
+        out[r] for r in (Reaction.ELASTIC, Reaction.CAPTURE, Reaction.FISSION)
+    )
 
     # 1/v thermal components, normalized at 0.0253 eV.
-    e_thermal = 2.53e-8  # MeV
-    inv_v = np.sqrt(e_thermal / energies)
-    capture += ladder.sigma_thermal_capture * inv_v
-    fission += ladder.sigma_thermal_fission * inv_v
+    inv_v = np.sqrt(2.53e-8 / energies)
+    elastic[:] = ladder.sigma_pot
+    capture[:] = ladder.sigma_thermal_capture * inv_v
+    fission[:] = ladder.sigma_thermal_fission * inv_v
 
-    if ladder.n_resonances:
+    if n_res and n_e:
         gamma = ladder.gamma_total
+        e0 = ladder.e0[:, None]
         # Peak cross section sigma_0 = 4 pi lambda-bar^2 Gamma_n / Gamma.
         sigma0 = SIGMA0_CONST_BARN_MEV / ladder.e0 * (ladder.gamma_n / gamma)
         zeta = doppler_zeta(gamma, ladder.e0, awr, temperature)
         # Resonance-potential interference amplitude: sqrt(sigma0 * sigma_pot).
         interference = np.sqrt(sigma0 * ladder.sigma_pot)
+        channels = [(capture, ladder.gamma_g), (elastic, ladder.gamma_n)]
+        if ladder.gamma_f.any():
+            channels.append((fission, ladder.gamma_f))
+        channels = [(row, (width / gamma)[:, None]) for row, width in channels]
+        window = max(_TAPER_ZERO, wofz_window)
 
-        # Chunk over resonances to bound the temporary (n_res, n_e) arrays.
-        chunk = max(1, int(4.0e6 // max(n_e, 1)))
-        zeta_arr = np.atleast_1d(np.asarray(zeta, dtype=float))
-        for start in range(0, ladder.n_resonances, chunk):
-            sl = slice(start, start + chunk)
-            x = 2.0 * (energies[None, :] - ladder.e0[sl, None]) / gamma[sl, None]
-            # Far wings: natural Lorentzian shapes (Doppler negligible there).
-            denom = 1.0 + x * x
-            psi_v = 1.0 / denom
-            chi_v = 2.0 * x / denom
-            near = np.abs(x) <= wofz_window
-            if near.any():
-                zeta_b = np.broadcast_to(zeta_arr[sl, None], x.shape)
-                psi_n, chi_n = psi_chi(zeta_b[near], x[near])
-                psi_v[near] = psi_n
-                chi_v[near] = chi_n
-            sqrt_ratio = np.sqrt(ladder.e0[sl, None] / energies[None, :])
-            strength = sigma0[sl, None] * sqrt_ratio
-            capture += np.sum(
-                strength * (ladder.gamma_g[sl, None] / gamma[sl, None]) * psi_v,
-                axis=0,
-            )
-            fission += np.sum(
-                strength * (ladder.gamma_f[sl, None] / gamma[sl, None]) * psi_v,
-                axis=0,
-            )
-            taper = np.exp(-((x / _INTERFERENCE_TAPER) ** 2))
-            elastic += np.sum(
-                strength * (ladder.gamma_n[sl, None] / gamma[sl, None]) * psi_v
-                + interference[sl, None]
-                * sqrt_ratio
-                * chi_v
-                * taper,
-                axis=0,
-            )
+        # Balanced blocks: none is one column wide unless the grid is (NumPy
+        # sums a one-column matrix pairwise, any wider one row after row).
+        n_blocks = -(-n_e // _BLOCK)
+        work = np.empty((3, n_res * -(-n_e // n_blocks)))
+        for k in range(n_blocks):
+            lo, hi = n_e * k // n_blocks, n_e * (k + 1) // n_blocks
+            e = energies[None, lo:hi]
+            x_flat, psi_flat, term_flat = flat = work[:, : n_res * (hi - lo)]
+            x, psi_v, term = flat.reshape(3, n_res, hi - lo)
+            np.subtract(e, e0, out=x)
+            x *= 2.0
+            x /= gamma[:, None]
+            np.multiply(x, x, out=psi_v)
+            psi_v += 1.0
+            np.divide(1.0, psi_v, out=psi_v)
+            np.abs(x, out=term)
+            pairs = np.flatnonzero(term <= window)
+            x_w = x_flat[pairs]
+            # x is spent: its buffer takes sqrt(e0/E), then the line strength.
+            strength = np.divide(e0, e, out=x)
+            np.sqrt(strength, out=strength)
+            sqrt_w = x_flat[pairs]
+            strength *= sigma0[:, None]
+
+            # Windowed pairs: chi, Faddeeva psi/chi near the line, the taper.
+            res = pairs // (hi - lo)
+            chi_w = 2.0 * x_w / (1.0 + x_w * x_w)
+            near = np.abs(x_w) <= wofz_window
+            psi_flat[pairs[near]], chi_w[near] = psi_chi(zeta[res[near]], x_w[near])
+            taper = np.exp(-((x_w / _INTERFERENCE_TAPER) ** 2))
+            wing = interference[res] * sqrt_w * chi_w * taper
+
+            for row, ratio in channels:
+                np.multiply(strength, ratio, out=term)
+                term *= psi_v
+                if row is elastic:
+                    term_flat[pairs] += wing
+                row[lo:hi] += term.sum(axis=0)
 
     # Interference can drive SLBW elastic slightly negative between
     # resonances; clamp as evaluated libraries do.
     np.clip(elastic, 0.0, None, out=elastic)
-    total = elastic + capture + fission
-    return {
-        "elastic": elastic,
-        "capture": capture,
-        "fission": fission,
-        "total": total,
-    }
+    np.add(elastic, capture, out=out[Reaction.TOTAL])
+    out[Reaction.TOTAL] += fission

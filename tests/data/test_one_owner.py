@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.data import LibraryConfig, NuclideLibrary, UnionizedGrid
+from repro.data import LibraryConfig, NuclideLibrary, UnionizedGrid, build_library
 from repro.data.io import load_library, save_library
 from repro.data.nuclide import Nuclide
 from repro.errors import DataError
@@ -20,6 +20,8 @@ from repro.transport.context import TransportContext
 from repro.transport.particle import Particle, ParticleBank
 from repro.transport.tally import GlobalTallies
 from repro.types import N_REACTIONS
+
+from .oracle import dense_reconstruct_into
 
 
 def reloaded(library):
@@ -56,8 +58,6 @@ class TestNuclidesAreViews:
     def test_a_write_through_the_nuclide_is_a_write_to_the_library(
         self, tiny_config
     ):
-        from repro.data import build_library
-
         lib = build_library("hm-small", tiny_config)
         lib["U238"].xs[2, 5] = 123.5
         assert lib.xs[2, lib.offsets[lib.index("U238")] + 5] == 123.5
@@ -91,6 +91,115 @@ class TestNuclidesAreViews:
     def test_empty_library_is_a_typed_error(self):
         with pytest.raises(DataError, match="at least one nuclide"):
             NuclideLibrary([], {}, {}, LibraryConfig.tiny(), "custom")
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak of traced memory while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBuiltStraightIntoTheLibrary:
+    """``build_library`` plans the offsets, allocates the flat arrays once and
+    has the kernel fill each nuclide's slice; ``load_library`` adopts what it
+    parsed.  Neither holds the pointwise data twice."""
+
+    @pytest.mark.parametrize(
+        "model, config",
+        [
+            ("hm-small", LibraryConfig()),
+            ("hm-small", LibraryConfig.tiny()),
+            ("hm-large", LibraryConfig.tiny()),
+        ],
+        ids=["hm-small-default", "hm-small-tiny", "hm-large-tiny"],
+    )
+    def test_equals_a_build_through_the_dense_oracle(
+        self, monkeypatch, model, config
+    ):
+        built = build_library(model, config)
+        monkeypatch.setattr(
+            "repro.data.library.reconstruct_into", dense_reconstruct_into
+        )
+        oracle = build_library(model, config)
+        for name in ("energy", "xs", "offsets"):
+            np.testing.assert_array_equal(
+                getattr(built, name), getattr(oracle, name), err_msg=name
+            )
+        assert built.names == oracle.names
+        for kind, fields in (
+            ("urr", ("band_edges", "cdf", "factors")),
+            ("sab", ("e_in", "xs", "e_out", "mu")),
+        ):
+            tables, expected = getattr(built, kind), getattr(oracle, kind)
+            assert list(tables) == list(expected) and len(tables) > 0
+            for key, table in tables.items():
+                for field in fields:
+                    np.testing.assert_array_equal(
+                        getattr(table, field), getattr(expected[key], field)
+                    )
+
+    def test_build_peak_is_the_library_plus_one_block(self):
+        """A work gate that repeats to the byte, not a timing: the dense
+        kernel kept ~27 MB of 3.1 MB temporaries alive here; the blocked one
+        needs three (150, 256) workspaces and the windowed pairs.  This is
+        what keeps ``_BLOCK`` from silently growing back."""
+        library, peak = traced_peak(
+            lambda: build_library("hm-small", LibraryConfig())
+        )
+        assert library.xs.flags.owndata and library.energy.flags.owndata
+        assert peak - library.nbytes < 2.5e6
+
+    def test_load_adopts_the_parsed_arrays(self):
+        """No second copy: the peak is the arrays plus numpy's read buffers
+        (1.4x this 3.2 MB library; it was 2.0x while the constructor
+        re-packed what the parser had sliced apart)."""
+        buf = io.BytesIO()
+        save_library(build_library("hm-small", LibraryConfig()), buf)
+        buf.seek(0)
+        loaded, peak = traced_peak(lambda: load_library(buf))
+        assert loaded.xs.flags.c_contiguous
+        assert peak < 1.6 * loaded.nbytes
+
+    def test_from_packed_adopts_without_a_copy(self, small_library):
+        lib = small_library
+        scalars = [
+            {"name": n.name, "awr": n.awr, "has_sab": n.has_sab} for n in lib
+        ]
+        energy, xs = lib.energy.copy(), lib.xs.copy()
+        packed = NuclideLibrary.from_packed(
+            energy, xs, lib.offsets, scalars, {}, lib.sab, lib.config, "custom"
+        )
+        assert packed.energy is energy and packed.xs is xs
+        assert packed.names == lib.names
+        assert np.shares_memory(packed["U238"].xs, xs)
+        np.testing.assert_array_equal(packed.sab_cutoff, lib.sab_cutoff)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            lambda e, x, o, s: (e, x, o[:-1], s),
+            lambda e, x, o, s: (e, x[:, :-1], o, s),
+            lambda e, x, o, s: (e, x.astype(np.float32), o, s),
+            lambda e, x, o, s: (e, x, o + 1, s),
+            lambda e, x, o, s: (e[:0], x[:, :0], o[:1], []),
+            lambda e, x, o, s: (e, x, o, s + s[:1]),
+            lambda e, x, o, s: (e, x, np.r_[o[:-2], o[-3], o[-1]], s),
+        ],
+    )
+    def test_from_packed_rejects_arrays_that_do_not_fit(
+        self, small_library, spoil
+    ):
+        lib = small_library
+        scalars = [{"name": n.name, "awr": n.awr} for n in lib]
+        with pytest.raises(DataError):
+            NuclideLibrary.from_packed(
+                *spoil(lib.energy, lib.xs, lib.offsets, scalars),
+                {}, {}, lib.config, "custom",
+            )
 
 
 class TestLoadedEqualsBuilt:

@@ -7,14 +7,20 @@ from hypothesis import strategies as st
 
 from repro.data.doppler import doppler_zeta, psi_chi
 from repro.data.resonance import (
+    _BLOCK,
     _INTERFERENCE_TAPER,
+    _TAPER_ZERO,
     SIGMA0_CONST_BARN_MEV,
     ResonanceLadder,
     build_energy_grid,
+    reconstruct_into,
     reconstruct_xs,
     sample_ladder,
 )
 from repro.errors import DataError
+from repro.types import N_REACTIONS, Reaction
+
+from .oracle import dense_reconstruct_xs
 
 
 @pytest.fixture()
@@ -208,6 +214,42 @@ class TestReconstruct:
         with pytest.raises(DataError):
             reconstruct_xs(ladder, np.array([0.0]), awr=238.0, temperature=300.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_energy(self, ladder, bad, recwarn):
+        """Was four NaN rows and a ``RuntimeWarning`` (``nan <= 0`` is false)."""
+        with pytest.raises(DataError, match="finite"):
+            reconstruct_xs(
+                ladder, np.array([1e-5, bad]), awr=238.0, temperature=300.0
+            )
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("energies", [np.full((2, 3), 1e-5), 1e-5])
+    def test_rejects_energies_that_are_not_one_dimensional(self, ladder, energies):
+        """A 2-D grid was NumPy's "non-broadcastable output operand"."""
+        with pytest.raises(DataError, match="1-D"):
+            reconstruct_xs(ladder, energies, awr=238.0, temperature=300.0)
+
+    def test_into_rejects_an_output_of_the_wrong_shape(self, ladder):
+        with pytest.raises(DataError, match="N_REACTIONS"):
+            reconstruct_into(
+                ladder, np.array([1e-5, 2e-5]), np.empty((N_REACTIONS, 3)),
+                awr=238.0, temperature=300.0,
+            )
+
+    def test_into_fills_a_strided_view_and_nothing_else(self, ladder):
+        """The library hands the kernel a column slice of its flat array."""
+        grid = build_energy_grid(ladder, n_base=40)
+        flat = np.full((N_REACTIONS, grid.size + 5), -1.0)
+        reconstruct_into(
+            ladder, grid, flat[:, 3:-2], awr=238.0, temperature=293.6
+        )
+        parts = reconstruct_xs(ladder, grid, awr=238.0, temperature=293.6)
+        for reaction in Reaction:
+            np.testing.assert_array_equal(
+                flat[reaction, 3:-2], parts[reaction.name.lower()]
+            )
+        assert np.all(flat[:, :3] == -1.0) and np.all(flat[:, -2:] == -1.0)
+
     @given(temp=st.floats(min_value=100.0, max_value=3000.0))
     @settings(
         max_examples=10,
@@ -218,3 +260,68 @@ class TestReconstruct:
         grid = np.geomspace(1e-11, 20.0, 200)
         parts = reconstruct_xs(ladder, grid, awr=238.0, temperature=temp)
         assert np.all(parts["total"] > 0)
+
+
+def probe_grid(rng, ladder, n):
+    """``n`` unsorted energies: a log-uniform background, exact line centers,
+    and points from a hundredth of a half-width to 10^4 half-widths off a
+    line — inside the Faddeeva window, between it and the taper's zero, and
+    beyond both."""
+    grid = np.exp(rng.uniform(np.log(1e-11), np.log(20.0), n))
+    if ladder.n_resonances:
+        j = rng.integers(ladder.n_resonances, size=n)
+        x = rng.choice([-1.0, 0.0, 1.0], n) * 10.0 ** rng.uniform(-2.0, 4.0, n)
+        near_line = ladder.e0[j] + 0.5 * ladder.gamma_total[j] * x
+        pick = (rng.random(n) < 0.7) & (near_line > 0)
+        grid[pick] = near_line[pick]
+    return grid
+
+
+class TestBitIdenticalToTheDenseOracle:
+    """The blocked, windowed kernel against the formulation it replaced
+    (``oracle.py``): all four rows, every bit."""
+
+    @pytest.mark.parametrize("wofz_window", [0.0, 50.0, 1e9, np.inf])
+    @pytest.mark.parametrize(
+        "n_e", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+    )
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_resonances=st.sampled_from([0, 1, 3, 40]),
+        fissionable=st.booleans(),
+        temperature=st.sampled_from([0.0, 293.6, 1200.0]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_all_four_rows(
+        self, wofz_window, n_e, seed, n_resonances, fissionable, temperature
+    ):
+        rng = np.random.default_rng(seed)
+        ladder = sample_ladder(
+            rng, fissionable=fissionable, n_resonances=n_resonances,
+            sigma_thermal_fission=500.0 * fissionable,
+        )
+        grid = probe_grid(rng, ladder, n_e)
+        kwargs = dict(awr=238.0, temperature=temperature, wofz_window=wofz_window)
+        got = reconstruct_xs(ladder, grid, **kwargs)
+        want = dense_reconstruct_xs(ladder, grid, **kwargs)
+        assert got.keys() == want.keys()
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+    def test_windows_cover_every_regime(self):
+        """The probe grid is not vacuous: one draw has pairs on a line
+        center, inside 50 half-widths, out to the taper's zero, and beyond."""
+        rng = np.random.default_rng(5)
+        ladder = sample_ladder(rng, fissionable=True, n_resonances=40)
+        grid = probe_grid(rng, ladder, 3 * _BLOCK + 7)
+        x = np.abs(
+            2.0 * (grid[None, :] - ladder.e0[:, None]) / ladder.gamma_total[:, None]
+        )
+        taper = np.exp(-((x / _INTERFERENCE_TAPER) ** 2))
+        for mask in (x == 0, (x > 0) & (x <= 50), (x > 50) & (taper > 0), taper == 0):
+            assert mask.sum() >= 10
+        assert x[taper == 0].min() < _TAPER_ZERO < x.max()
+
+    def test_an_empty_grid_is_four_empty_rows(self, ladder):
+        parts = reconstruct_xs(ladder, np.empty(0), awr=238.0, temperature=300.0)
+        assert [v.shape for v in parts.values()] == [(0,)] * N_REACTIONS
