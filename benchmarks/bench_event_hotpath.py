@@ -1,33 +1,23 @@
-"""Event-loop hot-path bench: event and numba-event backends vs baseline.
+"""Event-loop hot-path bench: the event backend vs its recorded baseline.
 
-One full generation per backend — resolved through the transport backend
-registry, the same route the simulation driver takes — on the H.M.
-full-core configuration recorded in ``baselines/event_hotpath.json``.
-Checks, per backend:
+One full generation — resolved through the transport backend registry,
+the same route the simulation driver takes — on the H.M. full-core
+configuration recorded in ``baselines/event_hotpath.json``.  Checks:
 
 * **Physics fingerprint** — the generation's collision/track-length tallies
   and fission-site count must match the recorded baseline bitwise-tightly
-  (rel 1e-12), and the ``numba-event`` backend must match the *same*
-  fingerprint as ``event`` (the bit-identity contract); a hot-path
-  "optimization" that changes the Monte Carlo game is a bug, not a speedup.
+  (rel 1e-12); a hot-path "optimization" that changes the Monte Carlo game
+  is a bug, not a speedup.
 * **Regression gate** — generation time is normalized by a fixed
   calibration kernel (searchsorted + interpolate, the shape of the XS
   lookup inner loop) so the gate is portable across machines.  The bench
   fails if the normalized time exceeds ``gate_factor`` times the recorded
-  baseline for that backend.
+  baseline.
 * **Recorded speedup** — the committed before/after numbers of the
   compaction + fused-kernel PR must themselves document its >= 2x win.
 
-Timing protocol: every backend gets one explicit **warm-up generation
-excluded from the gated region** before the timed rounds.  For
-``numba-event`` with numba installed the warm-up absorbs the one-shot JIT
-compilation; its cost is reported separately as ``compile_s`` (also
-attached to the pytest-benchmark JSON via ``extra_info``), never mixed
-into the steady-state generation time the gate sees.  The committed
-baseline's ``numba_event`` section records which flavor was measured
-(``numba_available``) — in a numba-free environment the backend runs its
-NumPy fallback at ``event`` speed, and that is what the honest fallback
-baseline contains.
+Timing protocol: one explicit **warm-up generation excluded from the gated
+region** before the timed rounds.
 """
 
 import json
@@ -39,7 +29,6 @@ import pytest
 
 from repro.transport.backends import get_backend
 from repro.transport.context import TransportContext
-from repro.transport.jit import HAVE_NUMBA, jit_status, reset_compile_times
 from repro.transport.tally import GlobalTallies
 
 BASELINE = json.loads(
@@ -81,8 +70,8 @@ def _measure(backend, tiny_small, union_small, benchmark, warmup_rounds=1):
 
     Returns ``(best_generation_seconds, fingerprint)``.  The warm-up
     generations run the identical workload but never touch the timing —
-    they exist to absorb one-shot costs (JIT compilation, plan/view
-    caches) outside the gated region.
+    they exist to absorb one-shot costs (material-plan caches, workspace
+    growth) outside the gated region.
     """
     cfg = BASELINE["config"]
     pos, en = source(cfg["n_particles"], cfg["source_seed"])
@@ -145,43 +134,3 @@ def test_event_hotpath_generation(tiny_small, union_small, benchmark):
     assert (
         before["generation_seconds"] / after["generation_seconds"] >= 2.0
     )
-
-
-def test_numba_event_hotpath_generation(tiny_small, union_small, benchmark):
-    reset_compile_times()
-    gen, fingerprint = _measure(
-        get_backend("numba-event"), tiny_small, union_small, benchmark
-    )
-    # Compile cost was paid inside the warm-up; report it separately.
-    compile_s = jit_status()["compile_s"]
-    benchmark.extra_info["compile_s"] = compile_s
-    benchmark.extra_info["numba_available"] = HAVE_NUMBA
-
-    # Same fingerprint as the event backend: the bit-identity contract.
-    _check_fingerprint(fingerprint)
-
-    cal = calibration_time()
-    ratio = gen / cal
-    recorded = BASELINE["numba_event"]
-    print(
-        f"\nnumba-event hot path ({'jit' if HAVE_NUMBA else 'fallback'}): "
-        f"recorded ratio {recorded['ratio']:.2f} "
-        f"(numba_available={recorded['numba_available']}); this run "
-        f"{gen:.3f}s (ratio {ratio:.2f}, compile {compile_s:.3f}s, "
-        f"calibration {cal:.3f}s)"
-    )
-    if HAVE_NUMBA and not recorded["numba_available"]:
-        # Compiled run gated against a fallback baseline: it must at least
-        # not be slower, and the tentpole target is >= 2x on this path.
-        event_ratio = BASELINE["event"]["ratio"]
-        assert ratio <= event_ratio / 2.0, (
-            f"compiled numba-event ratio {ratio:.2f} misses the 2x target "
-            f"vs the event backend's recorded ratio {event_ratio:.2f}"
-        )
-    else:
-        gate = BASELINE["gate_factor"] * recorded["ratio"]
-        assert ratio <= gate, (
-            f"numba-event generation regressed: normalized ratio "
-            f"{ratio:.2f} exceeds gate {gate:.2f} (recorded ratio "
-            f"{recorded['ratio']:.2f} x {BASELINE['gate_factor']})"
-        )

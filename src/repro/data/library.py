@@ -315,7 +315,7 @@ class NuclideLibrary:
     rebinds each ``Nuclide.energy`` / ``Nuclide.xs`` to a view of the flat
     storage (:meth:`from_packed`, the builder's and the loader's way in,
     adopts arrays that are flat already), so per-nuclide (history) and flat
-    (banked, compiled) consumers read the same memory.  Nuclide order is
+    (banked) consumers read the same memory.  Nuclide order is
     stable and indexable (``library.index(name)``) because the transport
     kernels address nuclides by dense integer id.
 

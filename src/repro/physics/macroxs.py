@@ -114,10 +114,10 @@ class MaterialPlan:
     ----------
     ids, rho:
         Dense nuclide ids and aligned atom densities (``Material.resolve``).
-    offsets:
-        ``library.offsets[ids]`` — start of each material nuclide's grid in
-        the library's flat arrays, so fused gathers are ``offsets[:, None] +
-        local``.
+    offsets_col:
+        ``library.offsets[ids]`` as a column — start of each material
+        nuclide's grid in the library's flat arrays, so fused gathers are
+        ``offsets_col + local``.
     nuclides:
         The material's :class:`Nuclide` objects in id order (non-union grid
         searches, scalar fallbacks).
@@ -133,18 +133,13 @@ class MaterialPlan:
     urr_entries:
         ``(k, table)`` for each nuclide with an unresolved-resonance
         probability table, in material order ``k``.
-    kernel_view:
-        The compiled tier's typed view of this plan, built and kept here by
-        :func:`repro.transport.jit.tables.plan_view` (``None`` until then).
     """
 
     __slots__ = (
         "material",
         "ids",
-        "ids_col",
         "rho",
         "n_nuclides",
-        "offsets",
         "offsets_col",
         "nuclides",
         "fissionable",
@@ -157,7 +152,6 @@ class MaterialPlan:
         "urr_emax",
         "union_rowoff",
         "union_rowoff_col",
-        "kernel_view",
     )
 
     def __init__(self, calc: XSCalculator, material: Material) -> None:
@@ -165,11 +159,9 @@ class MaterialPlan:
         ids, rho = material.resolve(library)
         self.material = material
         self.ids = ids
-        self.ids_col = ids[:, None]
         self.rho = rho
         self.n_nuclides = int(ids.shape[0])
-        self.offsets = library.offsets[ids]
-        self.offsets_col = self.offsets[:, None]
+        self.offsets_col = library.offsets[ids][:, None]
         self.nuclides: list[Nuclide] = [library[int(i)] for i in ids]
         self.fissionable = library.fissionable[ids]
         self.fissionable_rows = np.flatnonzero(self.fissionable)
@@ -197,7 +189,6 @@ class MaterialPlan:
             self.union_rowoff_col = self.union_rowoff[:, None]
         else:
             self.union_rowoff = self.union_rowoff_col = None
-        self.kernel_view = None
 
 
 class XSCalculator:
@@ -242,12 +233,8 @@ class XSCalculator:
         if union is not None:
             self._union_words_flat = union.words.ravel()
             self._union_shift = np.uint64(union.step_bits)
-        #: Scratch matrices every banked and attribution call runs on; the
-        #: compiled-kernel proxy writes into the same ones.
+        #: Scratch matrices every banked and attribution call runs on.
         self.workspace = TileWorkspace()
-        #: The compiled tier's typed view of the flat arrays, built and kept
-        #: here by :func:`repro.transport.jit.tables.library_view`.
-        self.kernel_view = None
 
     def material_plan(self, material: Material) -> MaterialPlan:
         """Cached :class:`MaterialPlan` for a material (built on first use)."""
@@ -438,11 +425,9 @@ class XSCalculator:
         order), applied **in place** to the ``(n_nuc, N)`` micro matrices.
 
         The two nuclide sets are disjoint, so the split loops touch
-        different rows and commute with the old interleaved form.  Shared by
-        the NumPy banked path and the compiled-kernel path
-        (:mod:`repro.transport.jit`), which brackets it between its gather
-        and accumulate kernels — corrections have one implementation, so
-        the two paths cannot drift.
+        different rows and commute with the old interleaved form.  Both
+        layouts of :meth:`banked` run it between their gather and the
+        accumulation.
         """
         if self.use_sab:
             for k, sab, cutoff in plan.sab_entries:
@@ -704,20 +689,6 @@ class XSCalculator:
             plan, energies, ia, ib, count, fa, fb
         )
         self._interpolate(self.library.xs[reaction], idx, idx1, f, g, out, hi)
-        self._finish_attribution(plan, energies, reaction, out, counters)
-        return out
-
-    def _finish_attribution(
-        self,
-        plan: MaterialPlan,
-        energies: np.ndarray,
-        reaction: Reaction,
-        out: np.ndarray,
-        counters: WorkCounters | None,
-    ) -> None:
-        """S(alpha, beta) substitution on the elastic row, the density
-        weighting and the work counters — in place on the gathered block
-        (shared with the compiled-kernel proxy, whose gather differs)."""
         if reaction == Reaction.ELASTIC and self.use_sab:
             for k, sab, cutoff in plan.sab_entries:
                 mask = energies < cutoff
@@ -728,3 +699,4 @@ class XSCalculator:
             n_items = out.size
             counters.nuclide_iterations += n_items
             counters.bytes_read += n_items * BYTES_PER_NUCLIDE_LOOKUP
+        return out

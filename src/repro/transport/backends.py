@@ -3,14 +3,11 @@
 A :class:`TransportBackend` is a *schedule* over the shared stage kernels
 (:mod:`repro.transport.stages`): ``history`` runs the scalar applies one
 particle at a time, ``event`` runs the banked applies over the compacted
-live bank, ``delta`` runs the banked applies under Woodcock majorant
-tracking, and ``numba-event`` is ``event`` with a different calculator:
-the same schedule, the XS hot path routed through the compiled-kernel
-tier (:mod:`repro.transport.jit`).  The registry
-lets every driver — :class:`Simulation`, ``repro.serve``,
-``repro.cluster``, the execution-model schedulers — select a backend by
-name instead of importing module functions, so a new schedule plugs in
-without touching any caller.
+live bank, and ``delta`` runs the banked applies under Woodcock majorant
+tracking.  The registry lets every driver — :class:`Simulation`,
+``repro.serve``, ``repro.cluster``, the execution-model schedulers —
+select a backend by name instead of importing module functions, so a new
+schedule plugs in without touching any caller.
 
 The registry stores **factories**: :func:`get_backend` returns a fresh
 instance per call, so a backend may cache per-run state (e.g. the delta
@@ -37,7 +34,6 @@ __all__ = [
     "HistoryBackend",
     "EventBackend",
     "DeltaBackend",
-    "NumbaEventBackend",
 ]
 
 
@@ -133,17 +129,10 @@ class HistoryBackend:
 
 
 class EventBackend:
-    """The banked schedule (Brown & Martin event-based vectorization).
-
-    :meth:`_context` is the one hook a subclass overrides to run the same
-    schedule with a different calculator.
-    """
+    """The banked schedule (Brown & Martin event-based vectorization)."""
 
     name = "event"
     supports_track_length = True
-
-    def _context(self, ctx: TransportContext) -> TransportContext:
-        return ctx
 
     def run_generation(
         self,
@@ -160,8 +149,8 @@ class EventBackend:
         from .events import run_generation_event
 
         return run_generation_event(
-            self._context(ctx), positions, energies, tallies, k_norm,
-            first_id, stats=stats, power=power, spectrum=spectrum,
+            ctx, positions, energies, tallies, k_norm, first_id,
+            stats=stats, power=power, spectrum=spectrum,
         )
 
 
@@ -208,51 +197,6 @@ class DeltaBackend:
         )
 
 
-class NumbaEventBackend(EventBackend):
-    """``event`` plus the :class:`~repro.transport.jit.JitXSCalculator`
-    context wrap — the same schedule, a different calculator.
-
-    The XS-lookup and attribution hot paths run as ``@njit`` kernels when
-    numba is installed (``pip install repro[jit]``) and as the ordinary
-    banked NumPy applies otherwise.  The substitution preserves
-    bit-identity: a ``numba-event`` run produces exactly the tallies,
-    fission banks, and work counters of an ``event`` (or ``history``) run
-    with the same seed, with or without numba present.
-
-    The wrapped-context cache is per (instance, context), like the delta
-    backend's majorant — another reason :func:`get_backend` returns fresh
-    instances.
-    """
-
-    name = "numba-event"
-
-    def __init__(self, compiled: str = "auto") -> None:
-        self.compiled = compiled
-        self._jit_ctx: TransportContext | None = None
-        self._base_ctx: TransportContext | None = None
-
-    def _context(self, ctx: TransportContext) -> TransportContext:
-        import dataclasses
-
-        from .jit import JitXSCalculator
-
-        if self._base_ctx is not ctx:
-            # dataclasses.replace shares every other field by reference —
-            # counters, fast geometry, model — so tallies/counters flow to
-            # the caller's objects exactly as with the unwrapped context.
-            self._jit_ctx = dataclasses.replace(
-                ctx,
-                calculator=JitXSCalculator(
-                    ctx.calculator, compiled=self.compiled
-                ),
-            )
-            self._base_ctx = ctx
-        return self._jit_ctx
-
-
 register_backend("history", HistoryBackend)
 register_backend("event", EventBackend)
 register_backend("delta", DeltaBackend)
-# The event schedule with the compiled-kernel calculator, not a schedule
-# of its own.
-register_backend("numba-event", NumbaEventBackend)

@@ -84,7 +84,6 @@ class TransportContext:
         use_urr: bool = True,
         use_fast_geometry: bool = True,
         master_seed: int = 1,
-        layout: str = "soa",
         survival_biasing: bool = False,
         boron_ppm: float = 600.0,
         enrichment_scale: float = 1.0,
@@ -115,9 +114,7 @@ class TransportContext:
                 enrichment_scale=enrichment_scale,
                 fuel_overrides=fuel_overrides,
             )
-        calculator = XSCalculator(
-            library, union, use_sab=use_sab, use_urr=use_urr, layout=layout
-        )
+        calculator = XSCalculator(library, union, use_sab=use_sab, use_urr=use_urr)
         return cls(
             model=model,
             library=library,

@@ -55,11 +55,9 @@ class Settings:
 
     ``mode`` selects the transport backend by registry name
     (:func:`repro.transport.backends.available_backends`): ``"history"``
-    (scalar, OpenMC-style), ``"event"`` (banked, vectorized),
+    (scalar, OpenMC-style), ``"event"`` (banked, vectorized), or
     ``"delta"`` (Woodcock delta tracking against a majorant cross
-    section), or ``"numba-event"`` (``"event"`` with the compiled-kernel
-    XS calculator — the same schedule; runs the NumPy fallback,
-    bit-identically, when numba is not installed).
+    section).
     """
 
     n_particles: int = 1000

@@ -81,33 +81,6 @@ def test_stages_rule_flags_upward_import(tmp_path):
     assert "repro.profiling.timers" in errors[0]
 
 
-def test_jit_rule_flags_upward_import(tmp_path):
-    """A transport/jit module importing a driving layer is a violation,
-    under the same table row as the stages."""
-    errors = violations(
-        tmp_path, "transport/jit/bad.py",
-        "from ...simd.analysis import lane_utilization_report\n",
-    )
-    assert len(errors) == 1
-    assert "repro.simd.analysis" in errors[0]
-    assert (
-        check_layering.LAYERS["transport/jit"]
-        is check_layering.LAYERS["transport/stages.py"]
-    )
-
-
-def test_jit_package_is_kernel_layer():
-    """The real transport/jit package imports nothing upward — and its
-    runtime imports stay within physics/data/rng/types/transport."""
-    allowed_prefixes = (
-        "repro.transport", "repro.physics", "repro.data", "repro.rng",
-        "repro.types", "repro.errors", "repro.work",
-    )
-    for name, mod in real_imports("transport/jit"):
-        if mod.startswith("repro."):
-            assert mod.startswith(allowed_prefixes), f"{name} imports {mod}"
-
-
 def test_execution_model_rule_flags_transport_import(tmp_path):
     """An execution model importing transport directly is a violation;
     the sanctioned adapter (execution/context.py) is not a model."""

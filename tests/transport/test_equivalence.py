@@ -165,7 +165,8 @@ class TestSurvivalBiasingEquivalence:
 
 class TestSabUrrOnEquivalence:
     """Both branchy physics treatments explicitly enabled, across bank
-    sizes that exercise full lanes, partial lanes, and single particles."""
+    sizes that exercise full lanes, partial lanes, single particles and
+    the empty bank."""
 
     @pytest.mark.parametrize("n", [1, 17, 60, 128])
     def test_tallies_identical_across_bank_sizes(
@@ -178,13 +179,13 @@ class TestSabUrrOnEquivalence:
         assert te.absorption == pytest.approx(th.absorption, rel=1e-12)
         assert te.track_length == pytest.approx(th.track_length, rel=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 17, 60])
+    @pytest.mark.parametrize("n", [0, 1, 17, 60])
     def test_counters_and_banks_identical(self, small_library, union, n):
         (ch, _, bh), (ce, _, be) = run_both(
             small_library, union, n=n, use_sab=True, use_urr=True
         )
         assert ch.counters.as_dict() == ce.counters.as_dict()
-        assert ch.counters.sab_samples > 0 or n == 1
+        assert ch.counters.sab_samples > 0 or n <= 1
         assert len(bh) == len(be)
         np.testing.assert_allclose(bh.positions, be.positions, rtol=1e-12)
         np.testing.assert_allclose(bh.energies, be.energies, rtol=1e-12)

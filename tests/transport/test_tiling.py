@@ -19,13 +19,8 @@ import pytest
 from repro.data.unionized import UnionizedGrid
 from repro.physics.macroxs import TileWorkspace, XSCalculator
 from repro.transport import stages
-from repro.transport.backends import (
-    DeltaBackend,
-    EventBackend,
-    NumbaEventBackend,
-)
+from repro.transport.backends import DeltaBackend, EventBackend
 from repro.transport.context import TransportContext
-from repro.transport.jit import JitXSCalculator
 from repro.transport.particle import ParticleBank
 from repro.transport.stages import (
     XS_LOOKUP,
@@ -232,9 +227,8 @@ class TestTileBoundariesBitIdentical:
             (EventBackend, True),
             (EventBackend, False),
             (DeltaBackend, True),
-            (lambda: NumbaEventBackend(compiled="force"), True),
         ],
-        ids=["event", "event-no-union", "delta", "numba-event-twins"],
+        ids=["event", "event-no-union", "delta"],
     )
     def test_generation(
         self, monkeypatch, small_library, small_union, backend, with_union,
@@ -297,15 +291,12 @@ class TestWorkspace:
     def fuel(self, small_library, small_union):
         return make_ctx(small_library, small_union).material(0)
 
-    @pytest.mark.parametrize("wrap", [lambda c: c, lambda c: JitXSCalculator(
-        c, compiled="force")], ids=["numpy", "kernel-twins"])
-    def test_public_results_never_alias_the_workspace(self, calc, fuel, wrap):
-        front = wrap(calc)
+    def test_public_results_never_alias_the_workspace(self, calc, fuel):
         e = np.geomspace(1e-8, 1.0, 12)
-        first = front.attribution_weights(fuel, e, Reaction.ELASTIC)
+        first = calc.attribution_weights(fuel, e, Reaction.ELASTIC)
         kept = first.copy()
-        second = front.attribution_weights(fuel, e[::-1], Reaction.FISSION)
-        res = front.banked(fuel, e)
+        second = calc.attribution_weights(fuel, e[::-1], Reaction.FISSION)
+        res = calc.banked(fuel, e)
         held = [first, second, *res.values()]
         for i, a in enumerate(held):
             for buf in calc.workspace._buffers:

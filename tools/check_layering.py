@@ -44,7 +44,6 @@ UPWARD = ("execution", "serve", "cluster", "simd", "machine", "profiling",
 #: ``repro.serve``.
 PHYSICS = ("transport", "execution", "cluster", "simd", "machine")
 
-_KERNEL = Layer("kernel layer imports nothing that drives it", forbid=UPWARD)
 _MODEL = Layer(
     "execution models get their backend through ExecutionContext "
     "(execution/context.py is the sanctioned adapter)",
@@ -52,9 +51,9 @@ _MODEL = Layer(
 )
 
 LAYERS: dict[str, Layer] = {
-    "transport/stages.py": _KERNEL,
-    # The compiled tier is swapped in *by* backends, beside the stages.
-    "transport/jit": _KERNEL,
+    "transport/stages.py": Layer(
+        "kernel layer imports nothing that drives it", forbid=UPWARD
+    ),
     **{
         f"execution/{name}.py": _MODEL
         for name in ("native", "offload", "rebalance", "symmetric", "trace")
@@ -130,7 +129,7 @@ def _in_layer(module: str, layer: str) -> bool:
 
 def _imports_any(module: str, names: tuple[str, ...]) -> bool:
     """Does ``module`` fall in any of the layers ``names`` (``"serve"``,
-    ``"transport/jit"``, ``"durable.py"``: paths under ``repro``)?"""
+    ``"transport/stages.py"``, ``"durable.py"``: paths under ``repro``)?"""
     return any(
         _in_layer(module, "repro." + n.removesuffix(".py").replace("/", "."))
         for n in names
