@@ -11,8 +11,9 @@ The package is layered (see DESIGN.md):
   (banked) algorithms;
 * :mod:`repro.simd`, :mod:`repro.machine` — the SIMD lane machine and the
   calibrated Xeon Phi / host / PCIe performance models;
-* :mod:`repro.execution`, :mod:`repro.cluster` — the offload / native /
-  symmetric execution models and distributed scaling;
+* :mod:`repro.execution`, :mod:`repro.cluster` — cost models and split
+  planners for the offload / native / symmetric execution models, and the
+  distributed driver that runs ranks;
 * :mod:`repro.proxy`, :mod:`repro.experiments` — XSBench/RSBench proxies
   and the per-table/figure experiment harness.
 

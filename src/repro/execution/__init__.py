@@ -1,12 +1,12 @@
 """Execution models: offload, native, and symmetric (paper §II-B).
 
-Each model is a cost model (pricing) plus a scheduler (execution): the
-schedulers receive an :class:`~repro.execution.context.ExecutionContext`
-carrying a transport backend selected by name from the registry, so no
-execution model imports transport loop functions.
+Cost models and split planners only: each model *prices* a device setup
+and the planners decide who transports which particles.  Nothing here
+imports transport — ranks are run by
+:class:`repro.cluster.distributed.DistributedSimulation`, a single device
+by :class:`repro.transport.simulation.Simulation`.
 """
 
-from .context import ExecutionContext
 from .loadbalance import (
     AdaptiveAlphaController,
     alpha_split,
@@ -14,14 +14,12 @@ from .loadbalance import (
     equal_split,
     fleet_split,
 )
-from .native import ACTIVE_TALLY_SURCHARGE, NativeModel, NativeScheduler, alpha
-from .offload import OFFLOAD_FIXED_S, OffloadCostModel, OffloadScheduler
+from .native import ACTIVE_TALLY_SURCHARGE, NativeModel, alpha
+from .offload import OFFLOAD_FIXED_S, OffloadCostModel
 from .rebalance import StealEvent, WorkStealingRebalancer
-from .symmetric import NODE_SYNC_S, FleetNode, SymmetricScheduler
-from .trace import OffloadTrace, trace_offload
+from .symmetric import NODE_SYNC_S, FleetNode
 
 __all__ = [
-    "ExecutionContext",
     "AdaptiveAlphaController",
     "alpha_split",
     "alpha_split_counts",
@@ -32,13 +30,8 @@ __all__ = [
     "FleetNode",
     "ACTIVE_TALLY_SURCHARGE",
     "NativeModel",
-    "NativeScheduler",
     "alpha",
     "OFFLOAD_FIXED_S",
     "OffloadCostModel",
-    "OffloadScheduler",
     "NODE_SYNC_S",
-    "SymmetricScheduler",
-    "OffloadTrace",
-    "trace_offload",
 ]

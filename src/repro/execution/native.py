@@ -10,17 +10,12 @@ Fig. 4's CPU-vs-MIC comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
-from typing import TYPE_CHECKING
 
 from ..machine.kernels import TransportCostModel, WorkPerParticle
 from ..machine.memory import library_nuclides, max_particles
 from ..machine.spec import DeviceSpec
 
-if TYPE_CHECKING:
-    from .context import ExecutionContext
-
-__all__ = ["NativeModel", "NativeScheduler", "alpha"]
+__all__ = ["NativeModel", "alpha"]
 
 #: Active batches also score tallies at every collision/flight; with only
 #: the default global tallies this is a small surcharge (the paper finds
@@ -76,42 +71,6 @@ class NativeModel:
 
     def lookup_fraction(self) -> float:
         return self._cost.lookup_fraction()
-
-
-class NativeScheduler:
-    """Native-mode scheduler: the whole generation runs on one device.
-
-    The thinnest possible schedule — one backend call through the
-    :class:`~repro.execution.context.ExecutionContext`, observed as rank 0
-    through the context's supervision hooks.  No transport imports: the
-    backend arrives inside the context.
-    """
-
-    def run_generation(
-        self,
-        ec: "ExecutionContext",
-        positions,
-        energies,
-        tallies,
-        k_norm: float = 1.0,
-        first_id: int = 0,
-        power=None,
-        spectrum=None,
-    ):
-        """Transport one generation on the single device.
-
-        Native mode has nothing to degrade *to*, so supervision here is
-        monitoring plus the batch deadline's typed abort."""
-        batch = ec.begin_batch()
-        t0 = perf_counter()
-        bank = ec.run_generation(
-            positions, energies, tallies, k_norm, first_id,
-            power=power, spectrum=spectrum,
-        )
-        seconds = perf_counter() - t0
-        ec.observe_ranks(batch, {0: (seconds, positions.shape[0])})
-        ec.end_batch(batch, seconds, "native")
-        return bank
 
 
 def alpha(

@@ -42,9 +42,8 @@ from ..machine.spec import DeviceSpec
 if TYPE_CHECKING:
     from ..resilience.faults import FaultPlan
     from ..resilience.recovery import RetryPolicy
-    from .context import ExecutionContext
 
-__all__ = ["OffloadCostModel", "OffloadScheduler"]
+__all__ = ["OffloadCostModel"]
 
 #: Host-side streaming-write bandwidth for banking base state [B/s].
 _HOST_BANK_WRITE_BW = 36.0e9
@@ -194,12 +193,6 @@ class OffloadCostModel:
                 lo = mid
         return hi
 
-    def priced_trace(self, ec: "ExecutionContext"):
-        """Price the context's recorded queue trace through this model —
-        the per-iteration offload costs the generation just executed would
-        have paid on real hardware (see :mod:`repro.execution.trace`)."""
-        return ec.offload_trace(self)
-
     def normalized_ratios(self, n_particles: int) -> dict[str, float]:
         """Fig. 3's quantities: each cost over the host generation time."""
         gen = self.host_generation_time(n_particles)
@@ -214,98 +207,3 @@ class OffloadCostModel:
             ) / gen,
             "host_xs_compute": self.host_lookup_time(n_particles) / gen,
         }
-
-
-@dataclass
-class OffloadScheduler:
-    """Offload-mode scheduler: bank on the host, compute on the device.
-
-    Execution-wise the banked backend *is* the offload pipeline — each
-    event cycle's lookup queue is one bank shipment — so the schedule is a
-    single backend call through the
-    :class:`~repro.execution.context.ExecutionContext`; with stats
-    recording enabled, the run leaves behind the queue trace that
-    :meth:`priced_trace` prices through the attached
-    :class:`OffloadCostModel` (including the fault plan / retry policy the
-    context injected).  No transport imports.
-    """
-
-    model: OffloadCostModel | None = None
-    #: Offload iteration counter — indexes ``TRANSFER_STALL`` events in the
-    #: context's fault plan (one generation = one bank shipment here).
-    iteration: int = 0
-
-    def run_generation(
-        self,
-        ec: "ExecutionContext",
-        positions,
-        energies,
-        tallies,
-        k_norm: float = 1.0,
-        first_id: int = 0,
-        power=None,
-        spectrum=None,
-    ):
-        """Transport one generation through the backend.
-
-        When the context carries a fault plan scheduling a ``TRANSFER_STALL``
-        for this offload iteration *and* a retry policy, the shipment is
-        aborted at the policy's stall timeout **before any transport runs**
-        and re-issued under :func:`~repro.resilience.recovery.with_retry`:
-        exactly one attempt executes real transport, so the retried
-        generation is bit-identical to an unstalled one.  The re-issue count
-        lands in :attr:`TransportStats.retries <repro.transport.stats.
-        TransportStats.retries>` (and the supervisor's tally, if one is
-        attached); the recovery *cost* stays where it always was, priced by
-        :meth:`OffloadCostModel.transfer_time`.
-        """
-        iteration = self.iteration
-        self.iteration += 1
-        stall = (
-            ec.fault_plan.stall_seconds(iteration)
-            if ec.fault_plan is not None
-            else 0.0
-        )
-        if stall <= 0.0 or ec.retry_policy is None:
-            return ec.run_generation(
-                positions, energies, tallies, k_norm, first_id,
-                power=power, spectrum=spectrum,
-            )
-
-        from ..errors import DeadlineExceededError
-        from ..resilience.recovery import with_retry
-
-        policy = ec.retry_policy
-
-        def ship(attempt: int):
-            if attempt == 1:
-                # The stalled shipment hangs past the policy's stall
-                # timeout and is aborted before the device sees the bank —
-                # no transport ran, so the retry replays nothing.
-                raise DeadlineExceededError(
-                    f"bank shipment stalled {stall:g}s on offload "
-                    f"iteration {iteration}, aborted at the "
-                    f"{policy.stall_timeout_s:g}s stall timeout",
-                    deadline_s=policy.stall_timeout_s,
-                    elapsed_s=min(stall, policy.stall_timeout_s),
-                )
-            return ec.run_generation(
-                positions, energies, tallies, k_norm, first_id,
-                power=power, spectrum=spectrum,
-            )
-
-        # Retry only the aborted shipment — a transport error must surface,
-        # not replay histories into already-merged tallies.
-        bank, attempts = with_retry(
-            ship, policy, retry_on=(DeadlineExceededError,)
-        )
-        if ec.stats is not None:
-            ec.stats.record_retries(attempts - 1)
-        if ec.supervisor is not None:
-            ec.supervisor.note_retry(attempts - 1)
-        return bank
-
-    def priced_trace(self, ec: "ExecutionContext"):
-        """Offload pricing for the generations recorded so far (uses the
-        scheduler's model, falling back to the context's cost model)."""
-        return ec.offload_trace(self.model)

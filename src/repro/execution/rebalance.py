@@ -47,7 +47,7 @@ class WorkStealingRebalancer:
     """Plans per-batch ``(rank, slice)`` assignments from measured rates.
 
     Each batch starts from the contiguous equal split over the alive
-    ranks (what the static scheduler would run) and steals tail
+    ranks (what a run without a rebalancer executes) and steals tail
     sub-slices until the assignment matches the rate-proportional
     :func:`~repro.execution.loadbalance.fleet_split` targets.  Stateless
     across batches: the EMA rates carry the history, so the plan

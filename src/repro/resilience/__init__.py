@@ -31,7 +31,7 @@ from .checkpoint import (
     settings_fingerprint,
 )
 from .faults import FaultEvent, FaultKind, FaultPlan, SimulatedCrash
-from .recovery import RetryPolicy, redistribute_slice, with_retry
+from .recovery import RetryPolicy, redistribute_slice
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -48,5 +48,4 @@ __all__ = [
     "SimulatedCrash",
     "RetryPolicy",
     "redistribute_slice",
-    "with_retry",
 ]

@@ -2,10 +2,10 @@
 
 Two recovery shapes cover the injected fault modes:
 
-* **retry with exponential backoff** (:class:`RetryPolicy`,
-  :func:`with_retry`) for transient faults — a stalled PCIe shipment is
-  aborted at the policy's stall timeout and re-issued after a
-  deterministic backoff delay;
+* **retry with exponential backoff** (:class:`RetryPolicy`) for transient
+  faults — a stalled PCIe shipment is aborted at the policy's stall
+  timeout and re-issued after a deterministic backoff delay, *priced* on
+  the caller's modelled clock;
 * **slice redistribution** (:func:`redistribute_slice`) for permanent rank
   loss — the dead rank's *global particle-id range* is split contiguously
   across survivors and re-run.  Because every particle's RNG stream is a
@@ -17,13 +17,10 @@ Two recovery shapes cover the injected fault modes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TypeVar
 
 from ..errors import ClusterError, ReproError
 
-__all__ = ["RetryPolicy", "with_retry", "redistribute_slice"]
-
-T = TypeVar("T")
+__all__ = ["RetryPolicy", "redistribute_slice"]
 
 
 @dataclass(frozen=True)
@@ -51,28 +48,6 @@ class RetryPolicy:
     def total_backoff_s(self, n_retries: int) -> float:
         """Sum of the first ``n_retries`` backoff delays."""
         return sum(self.delay_s(a) for a in range(1, n_retries + 1))
-
-
-def with_retry(
-    fn: Callable[[int], T],
-    policy: RetryPolicy,
-    retry_on: tuple[type[BaseException], ...] = (ReproError,),
-) -> tuple[T, int]:
-    """Call ``fn(attempt)`` until it succeeds or attempts are exhausted.
-
-    Returns ``(result, attempts_used)``.  Backoff is *accounted*, not slept
-    — callers charge :meth:`RetryPolicy.total_backoff_s` to their modelled
-    clock, keeping tests fast and replays deterministic.
-    """
-    last: BaseException | None = None
-    for attempt in range(1, policy.max_attempts + 1):
-        try:
-            return fn(attempt), attempt
-        except retry_on as exc:  # noqa: PERF203 — retry loop by design
-            last = exc
-    raise ReproError(
-        f"operation failed after {policy.max_attempts} attempts: {last}"
-    ) from last
 
 
 def redistribute_slice(

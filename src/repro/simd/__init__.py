@@ -1,10 +1,6 @@
 """SIMD substrate: a counting lane machine and vectorization primitives."""
 
-from .analysis import (
-    divergence_loss,
-    lane_utilization_report,
-    queue_lane_efficiency,
-)
+from .analysis import divergence_loss, queue_lane_efficiency
 from .gather import compress, expand, partition_by_key
 from .kernels import (
     distance_kernel_intrinsics,
@@ -16,7 +12,6 @@ from .lanes import LaneCounters, VectorUnit
 
 __all__ = [
     "divergence_loss",
-    "lane_utilization_report",
     "queue_lane_efficiency",
     "compress",
     "expand",

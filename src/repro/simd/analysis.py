@@ -1,32 +1,20 @@
-"""Lane-utilization analysis of a transport run's queue trace.
+"""Lane-utilization analysis of event-queue occupancies.
 
 As a generation drains, the event queues shrink; once a queue holds fewer
 particles than the vector width (or a non-multiple), trailing lanes idle.
-:func:`queue_lane_efficiency` converts the per-stage queue occupancies
-(:class:`repro.transport.stats.TransportStats`, recorded by *either*
-backend — per event cycle on the banked schedule, per particle history on
-the scalar one) into the lane efficiency a ``width``-lane machine would
-achieve — the quantitative form of the paper's observation that banking
-needs *large* banks (Fig. 3's ">10,000 particles" crossover has a
-lane-utilization component as well as a PCIe one).  Run on a history
-trace, the report shows what vectorizing *those* histories as-is would
-waste — the divergence the event schedule exists to absorb.
+:func:`queue_lane_efficiency` converts a sequence of queue sizes into the
+lane efficiency a ``width``-lane machine would achieve — the quantitative
+form of the paper's observation that banking needs *large* banks (Fig. 3's
+">10,000 particles" crossover has a lane-utilization component as well as
+a PCIe one).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..transport.stats import TransportStats
-
-__all__ = [
-    "queue_lane_efficiency",
-    "divergence_loss",
-    "lane_utilization_report",
-]
+__all__ = ["queue_lane_efficiency", "divergence_loss"]
 
 
 def queue_lane_efficiency(queue_sizes: Iterable[int], width: int = 16) -> float:
@@ -68,45 +56,3 @@ def divergence_loss(
         raise ValueError("branch fractions exceed 1")
     # Masked execution issues every branch across all lanes.
     return total / len(fractions)
-
-
-def lane_utilization_report(
-    stats: "TransportStats", width: int = 16
-) -> dict:
-    """Per-stage lane utilization from a transport run's queue trace.
-
-    Combines :meth:`~repro.transport.stats.TransportStats.summary`
-    occupancy statistics with :func:`queue_lane_efficiency` for each
-    stage, so one call answers "how full were the SIMD lanes in each
-    stage of this run?" — for either backend's trace.
-
-    Returns ``{"iterations", "width", "stages": {stage: {"mean", "min",
-    "max", "total", "lane_efficiency"}}, "gather": {"mean_stride",
-    "strides"}}``.  The ``gather`` section is the union-grid
-    gather-locality profile recorded by the event schedule
-    (:meth:`~repro.transport.stats.TransportStats.record_gather_indices`):
-    ``mean_stride`` is the mean absolute index stride between consecutive
-    XS-lookup gathers in tile-dispatch order — small against the
-    union-grid size because every tile is an energy band — or ``None``
-    when no gather stream was recorded (history trace, no union grid).
-    """
-    if width <= 0:
-        raise ValueError("width must be positive")
-    summary = stats.summary()
-    counts_by_stage = {
-        "lookup": stats.lookup_counts,
-        "collision": stats.collision_counts,
-        "crossing": stats.crossing_counts,
-    }
-    stages = {}
-    for name, occ in summary["stages"].items():
-        stages[name] = dict(occ)
-        stages[name]["lane_efficiency"] = queue_lane_efficiency(
-            counts_by_stage[name], width=width
-        )
-    return {
-        "iterations": summary["iterations"],
-        "width": width,
-        "stages": stages,
-        "gather": summary["gather"],
-    }

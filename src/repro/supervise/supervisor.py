@@ -27,7 +27,7 @@ bit-identical to a fault-free run of the surviving topology (tallies agree
 to per-rank summation order, the repo-wide float contract).
 
 This module deliberately imports **no transport, execution, serve, or
-cluster code** (enforced by ``tools/check_layering.py``): schedulers call
+cluster code** (enforced by ``tools/check_layering.py``): drivers call
 into the supervisor, never the reverse.
 """
 
@@ -171,7 +171,8 @@ class Supervisor:
         return self.monitor.record(rank, batch, seconds, n_particles)
 
     def note_retry(self, n: int = 1) -> None:
-        """Count an aborted-and-reissued operation (PCIe re-shipment)."""
+        """Count an aborted-and-reissued operation (a crashed rank's slice
+        re-run by the survivors)."""
         self.retries += int(n)
 
     def enforce_deadline(self, seconds: float, what: str = "batch") -> None:

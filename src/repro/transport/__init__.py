@@ -24,7 +24,6 @@ from .particle import FissionBank, FissionSite, Particle, ParticleBank
 from .spectrum import SpectrumTally
 from .stages import STAGE_KERNELS, SigmaTables, StageKernel
 from .statistics import EfficiencyComparison, figure_of_merit, fom_of_result
-from .stats import TransportStats
 from .simulation import Settings, Simulation, SimulationResult
 from .tally import BatchStatistics, GlobalTallies, TallyResult
 
@@ -32,7 +31,6 @@ __all__ = [
     "FREE_GAS_CUTOFF",
     "TransportContext",
     "TransportBackend",
-    "TransportStats",
     "HistoryBackend",
     "EventBackend",
     "DeltaBackend",

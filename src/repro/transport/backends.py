@@ -5,7 +5,7 @@ A :class:`TransportBackend` is a *schedule* over the shared stage kernels
 particle at a time, ``event`` runs the banked applies over the compacted
 live bank, and ``delta`` runs the banked applies under Woodcock majorant
 tracking.  The registry lets every driver — :class:`Simulation`,
-``repro.serve``, ``repro.cluster``, the execution-model schedulers —
+``repro.serve``, ``repro.cluster`` —
 select a backend by name instead of importing module functions, so a new
 schedule plugs in without touching any caller.
 
@@ -23,7 +23,6 @@ import numpy as np
 from ..errors import ExecutionError
 from .context import TransportContext
 from .particle import FissionBank
-from .stats import TransportStats
 from .tally import GlobalTallies
 
 __all__ = [
@@ -61,7 +60,6 @@ class TransportBackend(Protocol):
         tallies: GlobalTallies,
         k_norm: float = 1.0,
         first_id: int = 0,
-        stats: TransportStats | None = None,
         power=None,
         spectrum=None,
     ) -> FissionBank:
@@ -116,7 +114,6 @@ class HistoryBackend:
         tallies: GlobalTallies,
         k_norm: float = 1.0,
         first_id: int = 0,
-        stats: TransportStats | None = None,
         power=None,
         spectrum=None,
     ) -> FissionBank:
@@ -124,7 +121,7 @@ class HistoryBackend:
 
         return run_generation_history(
             ctx, positions, energies, tallies, k_norm, first_id,
-            stats=stats, power=power, spectrum=spectrum,
+            power=power, spectrum=spectrum,
         )
 
 
@@ -142,7 +139,6 @@ class EventBackend:
         tallies: GlobalTallies,
         k_norm: float = 1.0,
         first_id: int = 0,
-        stats: TransportStats | None = None,
         power=None,
         spectrum=None,
     ) -> FissionBank:
@@ -150,7 +146,7 @@ class EventBackend:
 
         return run_generation_event(
             ctx, positions, energies, tallies, k_norm, first_id,
-            stats=stats, power=power, spectrum=spectrum,
+            power=power, spectrum=spectrum,
         )
 
 
@@ -177,7 +173,6 @@ class DeltaBackend:
         tallies: GlobalTallies,
         k_norm: float = 1.0,
         first_id: int = 0,
-        stats: TransportStats | None = None,
         power=None,
         spectrum=None,
     ) -> FissionBank:

@@ -42,9 +42,7 @@ from .stages import (
     XS_LOOKUP,
     SigmaTables,
     collide_banked,
-    material_tiles,
 )
-from .stats import TransportStats
 from .tally import GlobalTallies
 
 __all__ = ["run_generation_event"]
@@ -57,7 +55,6 @@ def run_generation_event(
     tallies: GlobalTallies,
     k_norm: float = 1.0,
     first_id: int = 0,
-    stats: TransportStats | None = None,
     power: PowerTally | None = None,
     spectrum: SpectrumTally | None = None,
 ) -> FissionBank:
@@ -98,15 +95,6 @@ def run_generation_event(
 
         # ---- Stage 1: banked cross-section lookups.
         XS_LOOKUP.banked(ctx, bank, alive_idx, sig)
-        if stats is not None and ctx.union is not None:
-            # Gather-locality probe: the union intervals in the order the
-            # lookup stage's tile dispatch just walked them (diagnostics
-            # only — no RNG, no counters — so recording cannot perturb the
-            # physics).
-            live_e = bank.energy[alive_idx]
-            tiles = material_tiles(ctx, bank.material[alive_idx], live_e)
-            walk = np.concatenate([lanes for _, lanes in tiles])
-            stats.record_gather_indices(ctx.union.search_many(live_e[walk]))
 
         # ---- Stage 2: sample collision distances; ray-trace; advance.
         pos, dirs, w, d, crossing = FLIGHT.banked(ctx, bank, alive_idx, sig)
@@ -124,8 +112,6 @@ def run_generation_event(
 
         cross_idx = alive_idx[crossing]
         coll_idx = alive_idx[~crossing]
-        if stats is not None:
-            stats.record(alive_idx.size, coll_idx.size, cross_idx.size)
 
         # ---- Stage 3: surface crossings — nudge past, resolve escapes.
         if cross_idx.size:

@@ -52,7 +52,6 @@ from .stages import (
     SURVIVAL,
     XS_LOOKUP,
 )
-from .stats import TransportStats
 from .tally import GlobalTallies
 
 __all__ = ["transport_history", "run_generation_history"]
@@ -66,20 +65,11 @@ def transport_history(
     k_norm: float = 1.0,
     power: PowerTally | None = None,
     spectrum: SpectrumTally | None = None,
-    stats: TransportStats | None = None,
 ) -> None:
-    """Track one particle to death, scoring tallies and banking fission sites.
-
-    With ``stats``, records one row per history: the number of segments
-    (lookups/flights), collisions, and crossings this particle saw — the
-    per-history divergence profile that banking has to absorb.  Column
-    totals match the event schedule's per-cycle rows exactly.
-    """
+    """Track one particle to death, scoring tallies and banking fission
+    sites."""
     stream = particle.stream
     counters = ctx.counters
-    n_lookup = 0
-    n_collision = 0
-    n_crossing = 0
 
     while particle.alive:
         mat_id = ctx.material_id_at(particle.position)
@@ -91,7 +81,6 @@ def transport_history(
 
         # (a) Cross-section lookup (Algorithm 1) — the bottleneck kernel.
         xs = XS_LOOKUP.scalar(ctx, material, particle.energy, stream)
-        n_lookup += 1
 
         # (b) Distance to collision (Eq. 1) vs distance to boundary.
         d_coll, d_bound = FLIGHT.scalar(ctx, particle, xs)
@@ -111,7 +100,6 @@ def transport_history(
             # (c) Surface crossing: move past the surface and relocate.
             tallies.score_track(particle.weight, d_bound, xs.nu_fission)
             CROSSING.scalar(ctx, particle, tallies, d_bound)
-            n_crossing += 1
             continue
 
         # (d) Collision.
@@ -119,7 +107,6 @@ def transport_history(
         particle.position = particle.position + d_coll * particle.direction
         tallies.score_collision(particle.weight, xs.nu_fission, xs.total)
         counters.collisions += 1
-        n_collision += 1
 
         if ctx.survival_biasing:
             # (e) Implicit capture: no channel draw; expected fission sites
@@ -148,9 +135,6 @@ def transport_history(
         else:  # SCATTER (clamp included in the kernel)
             SCATTER.scalar(ctx, particle, material)
 
-    if stats is not None:
-        stats.record(n_lookup, n_collision, n_crossing)
-
 
 def run_generation_history(
     ctx: TransportContext,
@@ -159,7 +143,6 @@ def run_generation_history(
     tallies: GlobalTallies,
     k_norm: float = 1.0,
     first_id: int = 0,
-    stats: TransportStats | None = None,
     power: PowerTally | None = None,
     spectrum: SpectrumTally | None = None,
 ) -> FissionBank:
@@ -167,9 +150,7 @@ def run_generation_history(
 
     Returns the fission bank for the next generation.  ``first_id`` offsets
     the particle ids (and hence their RNG streams) so successive batches
-    draw from disjoint stream ranges.  ``stats`` records one row per
-    history (vs one row per cycle on the event schedule); column totals
-    agree across backends.
+    draw from disjoint stream ranges.
     """
     bank = FissionBank()
     n = positions.shape[0]
@@ -180,6 +161,6 @@ def run_generation_history(
         )
         ctx.counters.rn_draws += 2
         transport_history(
-            particle, ctx, tallies, bank, k_norm, power, spectrum, stats
+            particle, ctx, tallies, bank, k_norm, power, spectrum
         )
     return bank

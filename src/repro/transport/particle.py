@@ -245,8 +245,8 @@ class FissionBank:
         Because all reads apply the canonical ``(parent, seq)`` ordering
         and parents are *global* particle ids, absorbing per-rank or
         per-slice banks in any order reproduces the serial run's bank
-        exactly — the primitive behind the symmetric scheduler's and the
-        distributed driver's bank merges.
+        exactly — the primitive behind the distributed driver's bank
+        merge.
         """
         self._pos_chunks.extend(other._pos_chunks)
         self._energy_chunks.extend(other._energy_chunks)

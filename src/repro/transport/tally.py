@@ -128,7 +128,7 @@ class GlobalTallies:
     def merge_from(self, other: "GlobalTallies") -> None:
         """Accumulate another partial tally into this one (rank/slice
         reduction).  All fields are sums, so merging is exact and
-        order-independent up to float addition order — schedulers that need
+        order-independent up to float addition order — drivers that need
         bit-parity with a serial run must merge in rank order."""
         self.collision += other.collision
         self.absorption += other.absorption

@@ -1,27 +1,24 @@
-"""Work-stealing rebalancer: plan unit tests + on-contract scheduler runs.
+"""Work-stealing rebalancer: plan unit tests + on-contract distributed runs.
 
 The acceptance claims (ISSUE 9): the plan is a pure function of
 ``(n, alive, rates)``; with equal rates the rebalanced run is *fully*
 bitwise identical to the static run; with skewed rates the rebalanced
-run's banks and work counters stay bit-identical to an unsplit serial
-run (tallies to the repo's rel 1e-12 summation-order tolerance), because
+run's banks and work counters stay bit-identical to the serial run
+(tallies to the repo's rel 1e-12 summation-order tolerance), because
 every stolen slice keeps its global particle ids; and a mid-run 4x rate
 shift is reflected in the assignment within two batches.
 """
 
-import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
-from repro.execution import (
-    ExecutionContext,
-    NativeScheduler,
-    SymmetricScheduler,
-    WorkStealingRebalancer,
-)
+from repro.execution import WorkStealingRebalancer
 from repro.execution.loadbalance import equal_split, fleet_split
 from repro.supervise import SupervisionPolicy, Supervisor
-from repro.transport.context import TransportContext
+from repro.transport import Settings, Simulation
+
+from .. import contract
+from ..contract import assert_bitwise, assert_on_contract
 
 #: Straggler eviction off: these tests exercise rebalancing, not eviction,
 #: and wall-clock noise on tiny slices must not evict anyone.
@@ -114,88 +111,45 @@ class TestPlan:
         assert set(s["pairs"]) == {"0->2", "1->2"}
 
 
-# -- Scheduler integration ----------------------------------------------------
+# -- Driver integration -------------------------------------------------------
 
+SETTINGS = Settings(
+    n_particles=90, n_inactive=1, n_active=3, pincell=True,
+    mode="event", seed=17,
+)
 
 @pytest.fixture(scope="module")
-def union(small_library):
-    from repro.data.unionized import UnionizedGrid
-
-    return UnionizedGrid(small_library)
+def serial(small_library):
+    return Simulation(small_library, SETTINGS).run()
 
 
-def source(n, seed=5):
-    rng = np.random.default_rng(seed)
-    pos = np.column_stack(
-        [
-            rng.uniform(-0.3, 0.3, n),
-            rng.uniform(-0.3, 0.3, n),
-            rng.uniform(-150, 150, n),
-        ]
+def run_ranks(library, rebalancer=None, supervisor=None):
+    """A supervised 3-rank run of ``SETTINGS``."""
+    if supervisor is None:
+        supervisor = Supervisor(n_ranks=3, policy=LENIENT)
+    return contract.run_ranks(
+        library, SETTINGS, 3, supervisor=supervisor, rebalancer=rebalancer
     )
-    return pos, np.full(n, 1.0)
-
-
-def run_batches(
-    library, union, scheduler, *, n_batches=3, n=48,
-    supervisor=None, rebalancer=None, on_batch=None,
-):
-    """Run ``n_batches`` event-mode generations, each sourced from the
-    previous bank; ``on_batch(i)`` runs before batch ``i`` (rate shifts)."""
-    ctx = TransportContext.create(
-        library, pincell=True, union=union, master_seed=7
-    )
-    ec = ExecutionContext.create(
-        transport=ctx, backend="event",
-        supervisor=supervisor, rebalancer=rebalancer,
-    )
-    tallies = ec.new_tallies()
-    pos, en = source(n)
-    banks = []
-    for i in range(n_batches):
-        if on_batch is not None:
-            on_batch(i)
-        bank = scheduler.run_generation(ec, pos, en, tallies, 1.0, 0)
-        banks.append(bank)
-        assert len(bank) > 0
-        pos, en = bank.positions.copy(), bank.energies.copy()
-    return ctx, tallies, banks
-
-
-def assert_on_contract(ref, rebalanced):
-    """Banks + counters exact, tallies to summation-order tolerance."""
-    (c1, t1, b1), (c2, t2, b2) = ref, rebalanced
-    assert c1.counters.as_dict() == c2.counters.as_dict()
-    for bank1, bank2 in zip(b1, b2):
-        assert len(bank1) == len(bank2)
-        np.testing.assert_array_equal(bank1.positions, bank2.positions)
-        np.testing.assert_array_equal(bank1.energies, bank2.energies)
-    assert t2.collision == pytest.approx(t1.collision, rel=1e-12)
-    assert t2.absorption == pytest.approx(t1.absorption, rel=1e-12)
-    assert t2.track_length == pytest.approx(t1.track_length, rel=1e-12)
-    assert t2.n_collisions == t1.n_collisions
-    assert t2.n_leaks == t1.n_leaks
 
 
 class TestSupervisedRebalancing:
-    def test_skewed_run_on_contract_with_serial(self, small_library, union):
-        """Rebalanced run (rank 2 measured 4x faster) vs the unsplit
-        serial run: banks and counters bit-identical, tallies 1e-12 —
-        stolen slices keep their global ids."""
+    def test_skewed_run_on_contract_with_serial(self, small_library, serial):
+        """Rebalanced run (rank 2 measured 4x faster) vs the serial run:
+        counters and entropy bit-identical, k traces 1e-12 — stolen
+        slices keep their global ids."""
         rates = {0: 100.0, 1: 100.0, 2: 400.0}
         rebal = WorkStealingRebalancer(rate_source=rates.get)
-        rebalanced = run_batches(
-            small_library, union, SymmetricScheduler(n_ranks=3),
-            supervisor=Supervisor(n_ranks=3, policy=LENIENT),
-            rebalancer=rebal,
-        )
-        serial = run_batches(small_library, union, NativeScheduler())
+        rebalanced = run_ranks(small_library, rebal)
         assert_on_contract(serial, rebalanced)
         assert rebal.summary()["particles_moved"] > 0
         assert {ev.receiver for ev in rebal.events} == {2}
+        # The result reports what the ranks ran, not the equal split.
+        assert rebalanced[1].per_rank_particles == fleet_split(
+            90, [100.0, 100.0, 400.0]
+        )
 
     def test_skewed_run_on_contract_with_static_final_assignment(
-        self, small_library, union
+        self, small_library
     ):
         """The acceptance criterion verbatim: the work-stealing run vs a
         static run pinned to the same final assignment (a second
@@ -203,62 +157,35 @@ class TestSupervisedRebalancing:
         'static' reference executes exactly the converged assignment)."""
         rates = {0: 100.0, 1: 100.0, 2: 400.0}
         ws = WorkStealingRebalancer(rate_source=rates.get)
-        rebalanced = run_batches(
-            small_library, union, SymmetricScheduler(n_ranks=3),
-            supervisor=Supervisor(n_ranks=3, policy=LENIENT),
-            rebalancer=ws,
-        )
+        rebalanced = run_ranks(small_library, ws)
         static = WorkStealingRebalancer(rate_source=rates.get)
-        pinned = run_batches(
-            small_library, union, SymmetricScheduler(n_ranks=3),
-            supervisor=Supervisor(n_ranks=3, policy=LENIENT),
-            rebalancer=static,
-        )
+        pinned = run_ranks(small_library, static)
         # Same plan both times, and on this static-rate run the contract
         # is exact equality, not just tolerance.
         assert ws.events == static.events
-        assert_on_contract(pinned, rebalanced)
-        (_, t1, _), (_, t2, _) = pinned, rebalanced
-        assert (t1.collision, t1.absorption, t1.track_length) == (
-            t2.collision, t2.absorption, t2.track_length
-        )
+        assert_bitwise(pinned, rebalanced)
 
     def test_equal_rates_fully_bitwise_vs_static_scheduler(
-        self, small_library, union
+        self, small_library
     ):
         """Equal measured rates: the plan *is* the equal split, so the
-        rebalanced run is the static supervised run, bit for bit
+        rebalanced run is the run without a rebalancer, bit for bit
         (tallies included — same partition, same merge order)."""
         rebal = WorkStealingRebalancer(rate_source=lambda rank: 250.0)
-        rebalanced = run_batches(
-            small_library, union, SymmetricScheduler(n_ranks=3),
-            supervisor=Supervisor(n_ranks=3, policy=LENIENT),
-            rebalancer=rebal,
-        )
-        static = run_batches(
-            small_library, union, SymmetricScheduler(n_ranks=3),
-            supervisor=Supervisor(n_ranks=3, policy=LENIENT),
-        )
+        rebalanced = run_ranks(small_library, rebal)
+        static = run_ranks(small_library)
         assert rebal.events == []
-        assert_on_contract(static, rebalanced)
-        (_, t1, _), (_, t2, _) = static, rebalanced
-        assert (t1.collision, t1.absorption, t1.track_length) == (
-            t2.collision, t2.absorption, t2.track_length
-        )
+        assert rebalanced[1].per_rank_particles == equal_split(90, 3)
+        assert_bitwise(static, rebalanced)
 
     def test_monitor_rates_drive_the_plan_without_rate_source(
-        self, small_library, union
+        self, small_library, serial
     ):
         """Without a rate_source the plan reads the supervisor's health
         monitor EMA; the run completes on-contract with serial."""
         sup = Supervisor(n_ranks=3, policy=LENIENT)
-        rebalanced = run_batches(
-            small_library, union, SymmetricScheduler(n_ranks=3),
-            supervisor=sup, rebalancer=WorkStealingRebalancer(),
-            n_batches=4,
-        )
-        serial = run_batches(
-            small_library, union, NativeScheduler(), n_batches=4
+        rebalanced = run_ranks(
+            small_library, WorkStealingRebalancer(), supervisor=sup
         )
         assert_on_contract(serial, rebalanced)
         assert sup.report()["batches"] == 4
@@ -269,21 +196,22 @@ class TestMidRunRateShift:
     feed (the AdaptiveAlphaController pathway generalized N-way) moves
     the assignment within two batches, and the run stays on-contract."""
 
-    def test_straggler_slice_reassigned_within_two_batches(
-        self, small_library, union
-    ):
-        rates = {0: 400.0, 1: 400.0, 2: 400.0}
-        rebal = WorkStealingRebalancer(rate_source=rates.get)
-
-        def shift(batch):
-            if batch == 2:  # rank 0 throttles 4x before batch 2
-                rates[0] = 100.0
-
-        rebalanced = run_batches(
-            small_library, union, SymmetricScheduler(n_ranks=3),
-            supervisor=Supervisor(n_ranks=3, policy=LENIENT),
-            rebalancer=rebal, n_batches=4, on_batch=shift,
+    @staticmethod
+    def shifting(supervisor):
+        """Rank 0 throttles 4x from batch 2 on (the supervisor's batch
+        counter advances before the plan is asked for)."""
+        return WorkStealingRebalancer(
+            rate_source=lambda rank: (
+                100.0 if rank == 0 and supervisor.batch >= 2 else 400.0
+            )
         )
+
+    def test_straggler_slice_reassigned_within_two_batches(
+        self, small_library, serial
+    ):
+        sup = Supervisor(n_ranks=3, policy=LENIENT)
+        rebal = self.shifting(sup)
+        rebalanced = run_ranks(small_library, rebal, supervisor=sup)
         # Batches 0-1: balanced, no steals.  Batch 2 (first batch at the
         # new rates, i.e. within one barrier of the shift): rank 0
         # donates; it never receives.
@@ -294,34 +222,19 @@ class TestMidRunRateShift:
         )
         assert all(ev.receiver != 0 for ev in rebal.events)
         # And the physics is untouched: on-contract with serial.
-        serial = run_batches(
-            small_library, union, NativeScheduler(), n_batches=4
-        )
         assert_on_contract(serial, rebalanced)
 
     def test_shift_changes_assignment_not_results(
-        self, small_library, union
+        self, small_library, serial
     ):
         """The same run with and without the shift transports identical
-        histories — partitioning is invisible to the physics."""
-        rates = {0: 400.0, 1: 400.0, 2: 400.0}
-
-        def shift(batch):
-            if batch == 2:
-                rates[0] = 100.0
-
-        shifted = run_batches(
-            small_library, union, SymmetricScheduler(n_ranks=3),
-            supervisor=Supervisor(n_ranks=3, policy=LENIENT),
-            rebalancer=WorkStealingRebalancer(rate_source=rates.get),
-            n_batches=4, on_batch=shift,
+        histories (the serial run's) — partitioning is invisible to the
+        physics."""
+        sup = Supervisor(n_ranks=3, policy=LENIENT)
+        shifted = run_ranks(small_library, self.shifting(sup), supervisor=sup)
+        steady = run_ranks(
+            small_library,
+            WorkStealingRebalancer(rate_source=lambda rank: 400.0),
         )
-        steady = run_batches(
-            small_library, union, SymmetricScheduler(n_ranks=3),
-            supervisor=Supervisor(n_ranks=3, policy=LENIENT),
-            rebalancer=WorkStealingRebalancer(
-                rate_source=lambda rank: 400.0
-            ),
-            n_batches=4,
-        )
-        assert_on_contract(steady, shifted)
+        assert_on_contract(serial, shifted)
+        assert_on_contract(serial, steady)

@@ -6,7 +6,7 @@ import pytest
 from repro.cluster.distributed import DistributedSimulation
 from repro.cluster.simcomm import SimulatedComm
 from repro.errors import ClusterError, CommunicationError, ReproError
-from repro.resilience import FaultPlan, RetryPolicy, redistribute_slice, with_retry
+from repro.resilience import FaultPlan, RetryPolicy, redistribute_slice
 from repro.resilience.faults import FaultKind
 from repro.transport import Settings, Simulation
 
@@ -34,23 +34,6 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(ReproError):
             RetryPolicy(backoff_factor=0.5)
-
-    def test_with_retry_succeeds_after_failures(self):
-        def flaky(attempt):
-            if attempt < 3:
-                raise ReproError("transient")
-            return "ok"
-
-        result, attempts = with_retry(flaky, RetryPolicy(max_attempts=4))
-        assert result == "ok"
-        assert attempts == 3
-
-    def test_with_retry_exhausts(self):
-        def always(attempt):
-            raise ReproError("permanent")
-
-        with pytest.raises(ReproError, match="after 2 attempts"):
-            with_retry(always, RetryPolicy(max_attempts=2))
 
 
 class TestRedistributeSlice:

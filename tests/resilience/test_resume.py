@@ -62,6 +62,25 @@ class TestBitIdenticalResume:
         assert resumed.statistics.entropy == reference.statistics.entropy
         assert resumed.counters.as_dict() == reference.counters.as_dict()
 
+    def test_history_vs_event_after_resume(self, small_library, tmp_path):
+        """The history/event contract holds through a crash + resume."""
+        rh, _ = crash_and_resume(
+            small_library, tmp_path / "history", kill_batch=2, mode="history"
+        )
+        re_, _ = crash_and_resume(
+            small_library, tmp_path / "event", kill_batch=2, mode="event"
+        )
+        assert re_.statistics.k_collision == pytest.approx(
+            rh.statistics.k_collision, rel=1e-12
+        )
+        assert re_.statistics.k_absorption == pytest.approx(
+            rh.statistics.k_absorption, rel=1e-12
+        )
+        assert re_.statistics.entropy == pytest.approx(
+            rh.statistics.entropy, rel=1e-12
+        )
+        assert re_.counters.as_dict() == rh.counters.as_dict()
+
     def test_kill_at_first_checkpointable_batch(self, small_library, tmp_path):
         reference = Simulation(
             small_library, Settings(**BASE, mode="event")

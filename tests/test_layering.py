@@ -30,22 +30,22 @@ def test_type_checking_imports_exempt():
     src = (
         "from typing import TYPE_CHECKING\n"
         "if TYPE_CHECKING:\n"
-        "    from ..transport.stats import TransportStats\n"
+        "    from ..transport.tally import GlobalTallies\n"
         "from ..errors import ExecutionError\n"
     )
     tree = ast.parse(src)
     mods = [m for _, m in check_layering.runtime_imports(
         tree, "repro.execution")]
-    assert "repro.transport.stats" not in mods
+    assert "repro.transport.tally" not in mods
     assert "repro.errors" in mods
     assert "typing" in mods
 
 
 def test_relative_import_resolution():
-    tree = ast.parse("from . import context\nfrom .stats import T\n")
+    tree = ast.parse("from . import context\nfrom .tally import T\n")
     mods = sorted(m for _, m in check_layering.runtime_imports(
         tree, "repro.transport"))
-    assert mods == ["repro.transport", "repro.transport.stats"]
+    assert mods == ["repro.transport", "repro.transport.tally"]
 
 
 def violations(tmp_path, rel, source):
@@ -82,25 +82,23 @@ def test_stages_rule_flags_upward_import(tmp_path):
 
 
 def test_execution_model_rule_flags_transport_import(tmp_path):
-    """An execution model importing transport directly is a violation;
-    the sanctioned adapter (execution/context.py) is not a model."""
+    """Any execution module importing transport is a violation: the
+    package prices and plans, it runs nothing."""
     source = "from ..transport.events import run_generation_event\n"
     errors = violations(tmp_path, "execution/symmetric.py", source)
     assert len(errors) == 1
     assert "repro.transport.events" in errors[0]
-    assert "ExecutionContext" in errors[0]
-    (tmp_path / "repro" / "execution" / "symmetric.py").unlink()
-    assert violations(tmp_path, "execution/context.py", source) == []
+    assert "only cluster/ runs ranks" in errors[0]
 
 
 def test_supervise_rule_flags_transport_import(tmp_path):
     """A supervise module importing transport internals is a violation."""
     errors = violations(
         tmp_path, "supervise/bad.py",
-        "from ..transport.stats import TransportStats\n",
+        "from ..transport.tally import GlobalTallies\n",
     )
     assert len(errors) == 1
-    assert "repro.transport.stats" in errors[0]
+    assert "repro.transport.tally" in errors[0]
 
 
 def test_resilience_rule_flags_execution_import(tmp_path):

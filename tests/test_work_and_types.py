@@ -5,9 +5,6 @@ import pytest
 
 from repro.data.unionized import UnionizedGrid
 from repro.transport.context import FREE_GAS_CUTOFF, TransportContext
-from repro.transport.events import run_generation_event
-from repro.transport.stats import TransportStats
-from repro.transport.tally import GlobalTallies
 from repro.types import N_REACTIONS, CollisionChannel, EventKind, Reaction
 from repro.work import WorkCounters
 
@@ -91,106 +88,3 @@ class TestTransportContext:
     def test_nudge(self, ctx):
         p = ctx.nudge(np.zeros(3), np.array([1.0, 0.0, 0.0]))
         assert p[0] > 0
-
-
-class TestTransportStats:
-    def test_queue_trace_recorded(self, small_library):
-        union = UnionizedGrid(small_library)
-        ctx = TransportContext.create(
-            small_library, pincell=True, union=union, master_seed=2
-        )
-        stats = TransportStats()
-        rng = np.random.default_rng(2)
-        pos = np.column_stack(
-            [rng.uniform(-0.3, 0.3, 40), rng.uniform(-0.3, 0.3, 40),
-             rng.uniform(-100, 100, 40)]
-        )
-        run_generation_event(
-            ctx, pos, np.ones(40), GlobalTallies(), 1.0, 0, stats=stats
-        )
-        assert stats.iterations > 0
-        assert stats.lookup_counts[0] == 40  # first cycle: everyone queued
-        # Queues drain (weakly) as the generation dies out.
-        assert stats.lookup_counts[-1] <= stats.lookup_counts[0]
-        assert all(
-            look == coll + cross
-            for look, coll, cross in zip(
-                stats.lookup_counts,
-                stats.collision_counts,
-                stats.crossing_counts,
-            )
-        )
-
-    def test_lane_efficiency_from_stats(self, small_library):
-        from repro.simd.analysis import queue_lane_efficiency
-
-        union = UnionizedGrid(small_library)
-        ctx = TransportContext.create(
-            small_library, pincell=True, union=union, master_seed=2
-        )
-        stats = TransportStats()
-        rng = np.random.default_rng(2)
-        pos = np.column_stack(
-            [rng.uniform(-0.3, 0.3, 64), rng.uniform(-0.3, 0.3, 64),
-             rng.uniform(-100, 100, 64)]
-        )
-        run_generation_event(
-            ctx, pos, np.ones(64), GlobalTallies(), 1.0, 0, stats=stats
-        )
-        eff = queue_lane_efficiency(stats.lookup_counts, width=16)
-        assert 0.0 < eff <= 1.0
-
-
-class TestTransportStatsArrays:
-    """Array-backed storage: growth, views, and the summary() contract."""
-
-    def test_array_backed_growth(self):
-        stats = TransportStats()
-        for i in range(100):  # forces several capacity doublings
-            stats.record(100 - i, (100 - i) // 2, (100 - i) - (100 - i) // 2)
-        assert stats.iterations == 100
-        assert isinstance(stats.lookup_counts, np.ndarray)
-        assert stats.lookup_counts.dtype == np.int64
-        assert stats.lookup_counts.shape == (100,)
-        assert stats.lookup_counts[0] == 100
-        assert stats.lookup_counts[-1] == 1
-
-    def test_summary_statistics(self):
-        stats = TransportStats()
-        stats.record(10, 6, 4)
-        stats.record(4, 1, 3)
-        s = stats.summary()
-        assert s["iterations"] == 2
-        assert s["stages"]["lookup"] == {
-            "mean": 7.0, "min": 4, "max": 10, "total": 14,
-        }
-        assert s["stages"]["collision"]["total"] == 7
-        assert s["stages"]["crossing"]["max"] == 4
-
-    def test_summary_empty(self):
-        s = TransportStats().summary()
-        assert s["iterations"] == 0
-        assert s["stages"]["lookup"]["total"] == 0
-
-    def test_lane_utilization_report(self):
-        from repro.simd.analysis import lane_utilization_report
-
-        stats = TransportStats()
-        stats.record(32, 20, 12)
-        stats.record(16, 10, 6)
-        stats.record(3, 2, 1)
-        report = lane_utilization_report(stats, width=16)
-        assert report["iterations"] == 3
-        assert report["width"] == 16
-        look = report["stages"]["lookup"]
-        # 32 + 16 + 3 active over 32 + 16 + 16 issued slots.
-        assert look["lane_efficiency"] == pytest.approx(51 / 64)
-        assert look["total"] == 51
-        for stage in report["stages"].values():
-            assert 0.0 < stage["lane_efficiency"] <= 1.0
-
-    def test_lane_utilization_report_rejects_bad_width(self):
-        from repro.simd.analysis import lane_utilization_report
-
-        with pytest.raises(ValueError):
-            lane_utilization_report(TransportStats(), width=0)

@@ -19,7 +19,6 @@ from repro.transport.backends import _REGISTRY
 from repro.transport.context import TransportContext
 from repro.transport.events import run_generation_event
 from repro.transport.history import run_generation_history
-from repro.transport.stats import TransportStats
 from repro.transport.tally import GlobalTallies
 
 
@@ -111,17 +110,6 @@ class TestBackendRuns:
         assert len(bank_a) == len(bank_b)
         np.testing.assert_array_equal(bank_a.positions, bank_b.positions)
         np.testing.assert_array_equal(bank_a.energies, bank_b.energies)
-
-    def test_backends_record_stats(self, small_library, union):
-        for name in ("history", "event"):
-            pos, en = source(25)
-            ctx = make_ctx(small_library, union)
-            stats = TransportStats()
-            get_backend(name).run_generation(
-                ctx, pos, en, GlobalTallies(), 1.0, 0, stats=stats
-            )
-            assert stats.iterations > 0
-            assert int(stats.lookup_counts.sum()) == ctx.counters.lookups
 
     def test_event_backend_is_the_simulation_route(self, small_library):
         """Settings.mode names resolve through the same registry."""

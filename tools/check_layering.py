@@ -44,20 +44,14 @@ UPWARD = ("execution", "serve", "cluster", "simd", "machine", "profiling",
 #: ``repro.serve``.
 PHYSICS = ("transport", "execution", "cluster", "simd", "machine")
 
-_MODEL = Layer(
-    "execution models get their backend through ExecutionContext "
-    "(execution/context.py is the sanctioned adapter)",
-    forbid=("transport",),
-)
-
 LAYERS: dict[str, Layer] = {
     "transport/stages.py": Layer(
         "kernel layer imports nothing that drives it", forbid=UPWARD
     ),
-    **{
-        f"execution/{name}.py": _MODEL
-        for name in ("native", "offload", "rebalance", "symmetric", "trace")
-    },
+    "execution": Layer(
+        "pricing and planning; only cluster/ runs ranks",
+        forbid=("transport",),
+    ),
     "supervise": Layer(
         "supervision is bookkeeping the supervised layers call into",
         forbid=("transport", "execution", "serve", "cluster"),
