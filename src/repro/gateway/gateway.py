@@ -43,7 +43,8 @@ leader-elected, routed, completed, cache-hit, quarantined — is appended
 to a :class:`~repro.gateway.journal.WriteAheadJournal` *before* the
 in-memory mutation it describes.  A restarted gateway calls
 :meth:`recover`: landed results are restored verbatim from their
-``completed``/``cache-hit`` records (never re-simulated), unfinished
+``completed``/``cache-hit`` records (never re-simulated; a hit names the
+record that carries its payload instead of repeating it), unfinished
 specs re-admit front-of-class in original-arrival order
 (capacity-exempt — they already held a slot once), and quarantine plus
 circuit-breaker state replays deterministically.  Recovered sweep
@@ -154,8 +155,12 @@ class Gateway:
         self.results: dict[str, JobResult] = {}
         self._specs: dict[str, JobSpec] = {}
         self._order: list[str] = []
-        #: Admission class of every accepted, still unresolved job.
-        self._admitted_class: dict[str, str] = {}
+        #: ``(admission class, cache key)`` of every accepted, still
+        #: unresolved job.
+        self._admitted: dict[str, tuple[str, str]] = {}
+        #: Cache key -> the job whose landing record in this journal
+        #: carries that key's payload; later hits name it as ``source``.
+        self._payload_job: dict[str, str] = {}
         self._job_shard: dict[str, int] = {}
         #: In-flight leader per cache key, and the followers parked on it.
         self._inflight: dict[str, str] = {}
@@ -227,12 +232,16 @@ class Gateway:
         self._order.append(spec.job_id)
         self.counters["submitted"] += 1
 
-    def _cache_hit(self, result: JobResult) -> None:
+    def _cache_hit(self, result: JobResult, key: str | None = None) -> None:
         self.results[result.job_id] = result
         self.counters["cache_hits"] += 1
         self.counters["completed"] += 1
+        if key is not None:  # a hit that embeds its payload can be a source
+            self._payload_job.setdefault(key, result.job_id)
 
-    def _completed(self, result: JobResult, shard_id: int) -> None:
+    def _completed(self, result: JobResult, shard_id: int, doc: dict, key=None):
+        """``doc`` is the record's ``result`` document (the cache keeps
+        it), ``key`` the job's cache key when the caller has it."""
         self.results[result.job_id] = result
         shard_key = f"shard-{shard_id}"
         if result.status == "done":
@@ -240,10 +249,12 @@ class Gateway:
             self.breaker.record_success(shard_key)
             spec = self._specs.get(result.job_id)
             if spec is not None:
+                key = key or spec.cache_key()
+                self._payload_job[key] = result.job_id
                 # On replay this re-seeds the cache: identical future
                 # physics must keep hitting even if the cache tier
                 # itself was volatile.
-                self.result_cache.put(spec, result)
+                self.result_cache.put(spec, result, key, doc)
         elif result.status == "poisoned":
             self.counters["poisoned"] += 1
             # Poison promotion: a job that deterministically kills this
@@ -281,26 +292,29 @@ class Gateway:
             "accepted", job_id=spec.job_id, cls=cls, spec=spec.to_dict()
         )
         self._accepted(spec)
-        self._place(spec, cls, front=False)
+        self._place(spec, cls, spec.cache_key(), front=False)
         return spec.job_id
 
-    def _place(self, spec: JobSpec, cls: str, *, front: bool) -> None:
+    def _place(self, spec: JobSpec, cls: str, key: str, *, front: bool):
         """Cache check → park behind the in-flight leader → elect and
-        route, for a spec holding one admission slot of class ``cls``."""
-        self._admitted_class[spec.job_id] = cls
-        cached = self.result_cache.get(spec)
+        route, for a spec with cache key ``key`` holding one admission
+        slot of class ``cls``."""
+        self._admitted[spec.job_id] = (cls, key)
+        cached = self.result_cache.get(spec, key)
         if cached is not None:
             # Resolved at the front door: no shard runs.  The record
-            # carries the full result so recovery can restore it even if
-            # the cache directory has since been lost.
-            self._journal_append(
-                "cache-hit", job_id=spec.job_id, result=cached.to_dict()
+            # names the job whose landing in this journal carries the
+            # payload; with none (a disk entry from an earlier run) it
+            # embeds the result, so recovery never needs the cache.
+            source = self._payload_job.get(key)
+            carried = (
+                {"source": source} if source else {"result": cached.to_dict()}
             )
-            self._cache_hit(cached)
+            self._journal_append("cache-hit", job_id=spec.job_id, **carried)
+            self._cache_hit(cached, key)
             self._release(spec.job_id)
             self._local_events.append(_done_event(cached, -1, cached=True))
             return
-        key = self.result_cache.key_for(spec)
         if key in self._inflight:
             # Coalesce: the same physics is already running somewhere in
             # the tier.  Park behind the leader; the cache answers when
@@ -325,9 +339,9 @@ class Gateway:
 
     def _release(self, job_id: str) -> None:
         """A landed job is no longer unresolved and returns its slot."""
-        cls = self._admitted_class.pop(job_id, None)
-        if cls is not None:
-            self.admission.release(cls)
+        admitted = self._admitted.pop(job_id, None)
+        if admitted is not None:
+            self.admission.release(admitted[0])
 
     # -- Event pump ----------------------------------------------------------
 
@@ -382,18 +396,18 @@ class Gateway:
             # carries two landings for one job — the exactly-once
             # property the chaos audit checks.
             return None
+        doc = result.to_dict()  # built once: journaled, then cached
         self._journal_append(
             "completed",
             job_id=result.job_id,
             status=result.status,
             shard=event.shard_id,
-            result=result.to_dict(),
+            result=doc,
         )
-        self._completed(result, event.shard_id)
+        _, key = self._admitted.get(result.job_id, (None, None))
+        self._completed(result, event.shard_id, doc, key)
         self._release(result.job_id)
 
-        spec = self._specs.get(result.job_id)
-        key = self.result_cache.key_for(spec) if spec is not None else None
         if key is not None and self._inflight.get(key) == result.job_id:
             del self._inflight[key]
         if result.status == "done":
@@ -418,8 +432,8 @@ class Gateway:
         leader and actually runs, the rest park behind it.
         """
         for waiter_id in self._waiters.pop(key, []):
-            cls = self._admitted_class[waiter_id]
-            self._place(self._specs[waiter_id], cls, front=True)
+            cls, _ = self._admitted[waiter_id]
+            self._place(self._specs[waiter_id], cls, key, front=True)
 
     # -- Quarantine ----------------------------------------------------------
 
@@ -492,7 +506,10 @@ class Gateway:
                 "recover() must run on a fresh gateway, before any "
                 "submissions"
             )
-        replayed, truncated_bytes = self.journal.replay(self._replay)
+        keys: dict[str, str] = {}  # job id -> its leader-elected cache key
+        replayed, truncated_bytes = self.journal.replay(
+            lambda record: self._replay(record, keys)
+        )
         restored = len(self.results)
         pending = [j for j in self._order if j not in self.results]
         self.counters["recovered"] = len(self._order)
@@ -506,7 +523,7 @@ class Gateway:
         for job_id in pending:
             spec = self._specs[job_id]
             cls = self.admission.admit(spec, exempt=True)
-            self._place(spec, cls, front=True)
+            self._place(spec, cls, spec.cache_key(), front=True)
         return {
             "replayed": replayed,
             "restored": restored,
@@ -514,19 +531,33 @@ class Gateway:
             "truncated_bytes": truncated_bytes,
         }
 
-    def _replay(self, record: JournalRecord) -> None:
+    def _replay(self, record: JournalRecord, keys: dict[str, str]) -> None:
         """The replay decoder: one journal record → its transition.
         The bytes are external: a well-framed record this gateway never
-        wrote (missing field, undecodable spec or result) fails typed."""
+        wrote (missing field, undecodable spec or result, a ``source``
+        that never landed) fails typed."""
         kind, data = record.kind, record.data
         try:
             if kind == "accepted":
                 self._accepted(JobSpec.from_dict(data["spec"]))
+            elif kind == "leader-elected":
+                keys[data["job_id"]] = data["key"]
+            elif kind == "cache-hit" and "source" in data:
+                # By reference: the payload is the source's, re-stamped
+                # for this job exactly as the live hit was.
+                self._cache_hit(ResultCache.restamp(
+                    vars(self.results[data["source"]]),
+                    self._specs[data["job_id"]],
+                ))
             elif kind == "cache-hit":
-                self._cache_hit(JobResult.from_dict(data["result"]))
+                result = JobResult.from_dict(data["result"])
+                spec = self._specs.get(result.job_id)
+                self._cache_hit(result, spec and spec.cache_key())
             elif kind == "completed":
+                doc = data["result"]
                 self._completed(
-                    JobResult.from_dict(data["result"]), int(data["shard"])
+                    JobResult.from_dict(doc), int(data["shard"]), doc,
+                    keys.pop(data["job_id"], None),
                 )
             elif kind == "quarantined":
                 self._quarantined(int(data["shard"]), len(data["requeued"]))
@@ -540,7 +571,7 @@ class Gateway:
 
     def unresolved(self) -> int:
         """Jobs admitted but not yet resolved anywhere in the tier."""
-        return len(self._admitted_class)
+        return len(self._admitted)
 
     def drain(self, *, deadline_s: float | None = None) -> None:
         """Block until every submitted job has a result."""

@@ -24,13 +24,19 @@ The file is line-oriented JSONL with a per-record integrity frame::
     {length:08d} {sha256hex} {payload-json}\\n
     ...
 
+A payload crosses the file once: a ``cache-hit`` record names the job
+whose landing *in this journal* carries the result (``source=<job_id>``)
+and embeds it (``result=...``) only when there is none — the hit came
+from a disk entry an earlier run left.
+
 ``length`` is the byte length of the JSON payload and ``sha256hex`` its
 SHA-256 — so a **torn tail** (a partially written final frame after a
 crash, the only corruption an append-only file can suffer) is *detected*
 by the frame check and **truncated, not parsed**.  Everything before the
 first bad frame is intact by construction; :meth:`WriteAheadJournal.scan`
 returns it and (with ``repair=True``) trims the file back to the last
-good frame so appends continue cleanly.
+good frame so appends continue cleanly.  The walker reads frame by frame
+from one buffered handle: a scan or replay holds one frame, never the file.
 
 Every payload carries a ``seq`` that must increase by exactly one from
 1.  A gap or repeat inside *valid* frames cannot be produced by a crash
@@ -58,7 +64,6 @@ __all__ = ["JournalRecord", "JournalScan", "WriteAheadJournal"]
 _HEADER = b"repro-journal v1\n"
 #: ``{length:08d} {sha256hex} `` — 8 digits, space, 64 hex chars, space.
 _FRAME_PREFIX_LEN = 8 + 1 + 64 + 1
-_MAX_RECORD_BYTES = 10**8  # an 8-digit length can never claim more
 
 
 @dataclass(frozen=True)
@@ -150,62 +155,66 @@ class WriteAheadJournal:
     @classmethod
     def _walk(cls, path: Path, visit, repair: bool) -> tuple[int, int]:
         """The one frame walker under :meth:`scan` and :meth:`replay`:
-        pass each verified record to ``visit`` in order, keeping none;
-        returns ``(records visited, torn-tail bytes)``."""
-        data = path.read_bytes() if path.exists() else b""
-        if not data:
+        read frame by frame from one buffered handle, pass each verified
+        record to ``visit`` in order, keeping none; returns ``(records
+        visited, torn-tail bytes)``."""
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
             return 0, 0
-        if len(data) < len(_HEADER):
-            # A crash inside the very first write: the whole file is tail.
-            return 0, cls._tear(path, data, 0, repair)
-        if not data.startswith(_HEADER):
-            raise JournalError(
-                f"{path}: not a repro-journal v1 file "
-                f"(header {data[:16]!r})"
-            )
-        offset = len(_HEADER)
-        seq = 0
-        while offset < len(data):
-            record, frame_len = cls._parse_frame(data, offset)
-            if record is None:
-                return seq, cls._tear(path, data, offset, repair)
-            if record.seq != seq + 1:
-                raise JournalError(
-                    f"{path}: sequence discontinuity at byte {offset}: "
-                    f"expected seq {seq + 1}, found {record.seq} "
-                    f"(journal spliced or replayed?)"
-                )
-            visit(record)
-            seq += 1
-            offset += frame_len
-        return seq, 0
+        good = seq = 0
+        with fh:
+            size = os.fstat(fh.fileno()).st_size
+            header = fh.read(len(_HEADER))
+            # A header cut short is a crash inside the very first write:
+            # the whole file is tail.
+            if len(header) == len(_HEADER):
+                if header != _HEADER:
+                    raise JournalError(
+                        f"{path}: not a repro-journal v1 file "
+                        f"(header {header[:16]!r})"
+                    )
+                good = len(_HEADER)
+                while good < size:
+                    record, frame_len = cls._read_frame(fh, good)
+                    if record is None:
+                        break
+                    if record.seq != seq + 1:
+                        raise JournalError(
+                            f"{path}: sequence discontinuity at byte {good}: "
+                            f"expected seq {seq + 1}, found {record.seq} "
+                            f"(journal spliced or replayed?)"
+                        )
+                    visit(record)
+                    seq += 1
+                    good += frame_len
+        if good < size and repair:
+            with open(path, "r+b") as fh:
+                fh.truncate(good)
+                fh.flush()
+                os.fsync(fh.fileno())
+        return seq, size - good
 
     @staticmethod
-    def _parse_frame(data: bytes, offset: int):
-        """``(record, frame_length)`` at ``offset``, or ``(None, 0)`` if
-        the bytes from here on are a torn tail."""
-        head = data[offset: offset + _FRAME_PREFIX_LEN]
-        if len(head) < _FRAME_PREFIX_LEN:
-            return None, 0
+    def _read_frame(fh, offset: int):
+        """``(record, frame_length)`` at ``fh``'s position (byte
+        ``offset``), or ``(None, 0)`` if the bytes from here on are a
+        torn tail."""
+        head = fh.read(_FRAME_PREFIX_LEN)
         length_bytes, digest_bytes = head[:8], head[9:73]
-        if not length_bytes.isdigit() or head[8:9] != b" " \
-                or head[73:74] != b" ":
+        if len(head) < _FRAME_PREFIX_LEN or not length_bytes.isdigit() \
+                or head[8:9] != b" " or head[73:74] != b" ":
             return None, 0
         length = int(length_bytes)
-        if length > _MAX_RECORD_BYTES:
+        payload = fh.read(length + 1)  # payload + newline
+        if payload[length:] != b"\n":  # cut short, or not a frame's end
             return None, 0
-        start = offset + _FRAME_PREFIX_LEN
-        end = start + length + 1  # payload + newline
-        if end > len(data):
-            return None, 0
-        payload = data[start: end - 1]
-        if data[end - 1: end] != b"\n":
-            return None, 0
+        payload = payload[:length]
         if hashlib.sha256(payload).hexdigest().encode() != digest_bytes:
             return None, 0
         try:
             record = JournalRecord.from_payload(payload)
-        except (ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, AttributeError):
             # Digest-valid but unparsable is splice damage, not a tear —
             # a frame we wrote whole always round-trips.
             raise JournalError(
@@ -213,16 +222,6 @@ class WriteAheadJournal:
                 f"an unparsable payload"
             ) from None
         return record, _FRAME_PREFIX_LEN + length + 1
-
-    @staticmethod
-    def _tear(path: Path, data: bytes, good_bytes: int, repair: bool) -> int:
-        """The torn tail's length; ``repair`` trims it off the file."""
-        if repair:
-            with open(path, "r+b") as fh:
-                fh.truncate(good_bytes)
-                fh.flush()
-                os.fsync(fh.fileno())
-        return len(data) - good_bytes
 
     # -- Appending -------------------------------------------------------
 

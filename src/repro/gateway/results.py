@@ -6,10 +6,12 @@ resubmitted, the same curriculum job from a thousand clients.  Because a
 physics identity (the serve invariant, tested since PR 2), the gateway
 can legally answer a repeat from a cache: the key is
 :meth:`JobSpec.cache_key` (SHA-256 over the canonical identity document)
-and the value is the completed :class:`~repro.serve.jobs.JobResult` as
-exact-float JSON, so a hit is **byte-identical in its physics payload**
-to recomputation (``payload_json`` equality; the determinism tests prove
-it).
+and the value is the completed :class:`~repro.serve.jobs.JobResult`'s
+``to_dict()`` document (exact-float JSON on disk), so a hit is
+**byte-identical in its physics payload** to recomputation
+(``payload_json`` equality; the determinism tests prove it).  The
+gateway hands ``put`` the document it has just journaled — a landing is
+encoded once and held once.
 
 Mechanics:
 
@@ -36,7 +38,10 @@ Mechanics:
 On a hit the cached payload is re-stamped with the *requesting* spec's
 scheduling identity (job id, scenario provenance) and marked
 ``library_source="result-cache"`` with zeroed service accounting —
-physics from the cache, bookkeeping from this submission.
+physics from the cache, bookkeeping from this submission
+(:meth:`ResultCache.restamp`, which journal replay also uses for a
+by-reference ``cache-hit``).  **Results handed out share their trace
+lists and counters with the cache entry and are read-only.**
 """
 
 from __future__ import annotations
@@ -85,10 +90,6 @@ class ResultCache:
         #: were quarantined (renamed ``*.corrupt``) instead of served.
         self.corrupt_entries = 0
 
-    @staticmethod
-    def key_for(spec: JobSpec) -> str:
-        return spec.cache_key()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -100,9 +101,11 @@ class ResultCache:
 
     # -- Lookup --------------------------------------------------------------
 
-    def get(self, spec: JobSpec) -> JobResult | None:
-        """The cached result for ``spec``'s physics, or ``None`` on miss."""
-        key = self.key_for(spec)
+    def get(self, spec: JobSpec, key: str | None = None) -> JobResult | None:
+        """The cached result for ``spec``'s physics (``key``, when the
+        caller has already computed it), or ``None`` on miss."""
+        if key is None:
+            key = spec.cache_key()
         with self._lock:
             stored = self._entries.get(key)
             if stored is not None:
@@ -116,36 +119,47 @@ class ResultCache:
                 self.misses += 1
                 return None
             self.hits += 1
-            data = dict(stored)
-        # Re-stamp scheduling identity outside the lock: the physics
-        # payload is the cached bytes, the bookkeeping is this request's.
-        data.update(
-            job_id=spec.job_id,
-            case_id=spec.case_id,
-            suite_id=spec.suite_id,
-            scenario_fingerprint=spec.scenario_fingerprint,
-            worker_id=-1,
-            attempts=1,
-            wait_seconds=0.0,
-            service_seconds=0.0,
-            build_seconds=0.0,
-            library_source="result-cache",
-        )
-        return JobResult.from_dict(data)
+        return self.restamp(stored, spec)
+
+    @staticmethod
+    def restamp(stored: dict, spec: JobSpec) -> JobResult:
+        """``stored``'s physics under ``spec``'s scheduling identity: the
+        payload is the cached one, the bookkeeping is this request's.  One
+        level is copied; the traces and counters are ``stored``'s own."""
+        return JobResult.from_dict({
+            **stored,
+            "job_id": spec.job_id,
+            "case_id": spec.case_id,
+            "suite_id": spec.suite_id,
+            "scenario_fingerprint": spec.scenario_fingerprint,
+            "worker_id": -1,
+            "attempts": 1,
+            "wait_seconds": 0.0,
+            "service_seconds": 0.0,
+            "build_seconds": 0.0,
+            "library_source": "result-cache",
+        })
 
     # -- Insert --------------------------------------------------------------
 
-    def put(self, spec: JobSpec, result: JobResult) -> bool:
+    def put(
+        self, spec: JobSpec, result: JobResult,
+        key: str | None = None, doc: dict | None = None,
+    ) -> bool:
         """Cache ``result`` under ``spec``'s key; returns whether stored.
 
         Refuses non-``done`` results (poison must stay poisonous) and
-        dedups concurrent inserts of the same key (first wins).
+        dedups concurrent inserts of the same key (first wins).  ``doc``
+        is ``result.to_dict()`` when the caller already built it; the
+        cache keeps that dict, so the caller must not touch it again.
         """
         if result.status != "done":
             self.rejected += 1
             return False
-        key = self.key_for(spec)
-        payload = result.to_json()
+        if key is None:
+            key = spec.cache_key()
+        if doc is None:
+            doc = result.to_dict()
         with self._lock:
             if key in self._entries:
                 return False
@@ -154,11 +168,10 @@ class ResultCache:
                 and self._disk_path(key).exists()
             ):
                 return False
-            # Through JSON once: memory holds what a disk read returns.
-            stored = self._entries[key] = json.loads(payload)
+            self._entries[key] = doc
             self.insertions += 1
             if self.directory is not None:
-                self._write_disk(key, stored)
+                self._write_disk(key, doc)
             self._evict_over_bound()
         return True
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import uuid
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 from ..data.library import LibraryConfig, library_fingerprint
 from ..errors import JobError, ReproError
@@ -53,6 +53,16 @@ _IDENTITY_FIELDS = (
 
 def _new_job_id() -> str:
     return uuid.uuid4().hex[:12]
+
+
+def _plain(value):
+    """``dataclasses.asdict``'s copy of one field value without its
+    ``deepcopy`` per leaf: plain containers are rebuilt (through nested
+    ``fuel_overrides`` rows too), everything else is shared."""
+    kind = type(value)
+    if kind is dict:
+        return {key: _plain(item) for key, item in value.items()}
+    return kind(map(_plain, value)) if kind in (list, tuple) else value
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,7 @@ class JobSpec:
     # -- JSON round trip -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: _plain(getattr(self, name)) for name in _SPEC_FIELDS}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -156,8 +166,7 @@ class JobSpec:
     def from_dict(cls, data: dict) -> "JobSpec":
         if not isinstance(data, dict):
             raise JobError(f"job spec must be an object, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = data.keys() - _SPEC_FIELDS
         if unknown:
             raise JobError(f"unknown job spec fields {sorted(unknown)}")
         try:
@@ -314,15 +323,18 @@ class JobResult:
     # -- JSON round trip -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: _plain(getattr(self, name)) for name in _RESULT_FIELDS}
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobResult":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise JobError(
+                f"job result must be an object, got {type(data).__name__}"
+            )
+        unknown = data.keys() - _RESULT_FIELDS
         if unknown:
             raise JobError(f"unknown job result fields {sorted(unknown)}")
         try:
@@ -337,3 +349,8 @@ class JobResult:
         except json.JSONDecodeError as exc:
             raise JobError(f"job result is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
+
+
+#: Field names, computed once: these run per journal record in the gateway.
+_SPEC_FIELDS = tuple(f.name for f in fields(JobSpec))
+_RESULT_FIELDS = tuple(f.name for f in fields(JobResult))

@@ -56,6 +56,9 @@ class TestKillCycles:
         # cache-hit and leader-election records too — the sweep must
         # survive a kill after every one of them.
         report = runner.kill_sweep()
+        # By-reference hits change what a ``cache-hit`` record holds,
+        # not how many records there are: 3 leaders x 4 + 1 hit x 2.
+        assert runner.n_boundaries == 14
         assert report.cycles == runner.n_boundaries
         assert report.kill_boundaries == list(
             range(1, runner.n_boundaries + 1)

@@ -8,7 +8,10 @@ unfinished work re-admits in arrival order, and supervision state
 (breaker circuits, quarantine) replays deterministically.
 """
 
+import builtins
 import dataclasses
+import json
+import shutil
 import tracemalloc
 from pathlib import Path
 
@@ -132,6 +135,32 @@ def mid_run_kill_history(make, tmp_path):
     return first
 
 
+def mixed_hits_history(make, tmp_path):
+    """Embedded and by-reference hits in one journal: two keys come from
+    a disk tier an earlier run filled (first hit embeds, the repeat
+    names it), two are computed here (their repeats name the leader)."""
+    warm = Gateway(n_shards=2, service_factory=SyntheticService,
+                   result_cache=ResultCache(tmp_path / "cache"))
+    run_all(warm, specs_for("w", 2))
+    warm.shutdown()
+    first = make(result_cache=ResultCache(tmp_path / "cache"))
+    run_all(first, specs_for("a", 8, distinct=4))
+    assert first.counters["cache_hits"] == 6
+    hits = WriteAheadJournal.scan(first.journal.path).by_kind("cache-hit")
+    assert sorted("result" in r.data for r in hits) == 4 * [False] + 2 * [True]
+    return first
+
+
+def bounded_cache_history(make, tmp_path):
+    """A one-entry cache: by-reference hits restore from ``results``,
+    never from the cache, so replay does not care what was evicted."""
+    first = make(result_cache=ResultCache(max_entries=1))
+    run_all(first, specs_for("a", 6, distinct=3))
+    assert first.counters["cache_hits"] == 3
+    assert first.result_cache.evictions == 2
+    return first
+
+
 HISTORIES = {
     "coal": coalescing_history,
     "fail": failed_leader_history,
@@ -139,7 +168,13 @@ HISTORIES = {
     "quar": manual_quarantine_history,
     "disk": disk_cache_history,
     "kill": mid_run_kill_history,
+    "mixed": mixed_hits_history,
+    "lru1": bounded_cache_history,
 }
+
+#: A journal the parent commit (0e20b97) wrote — every hit embeds its
+#: result — and the dead gateway's ``journal_derived_state`` beside it.
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def journal_derived_state(gateway):
@@ -160,6 +195,12 @@ def journal_derived_state(gateway):
         },
         "payloads": {
             job_id: result.payload_json()
+            for job_id, result in gateway.results.items()
+        },
+        # The whole document, accounting included (``to_json`` rather
+        # than ``to_dict``: a failed job's NaN fields compare by bytes).
+        "documents": {
+            job_id: result.to_json()
             for job_id, result in gateway.results.items()
         },
         "order": list(gateway._order),
@@ -234,11 +275,60 @@ class TestCompletedRunRecovery:
         # is not shared: the successor gets an empty one).
         second = make(
             n_shards=first.n_shards,
-            result_cache=ResultCache(first.result_cache.directory),
+            result_cache=ResultCache(
+                first.result_cache.directory,
+                max_entries=first.result_cache.max_entries,
+            ),
         )
         second.recover()
         assert journal_derived_state(second) == journal_derived_state(first)
         second.shutdown(graceful=False)
+
+    def test_a_journal_the_parent_commit_wrote_recovers(self, tmp_path):
+        """All-embedded ``cache-hit`` records (the only shape before
+        by-reference hits) restore the state their writer died with."""
+        path = tmp_path / "j"
+        shutil.copyfile(FIXTURES / "journal-0e20b97.log", path)
+        hits = WriteAheadJournal.scan(path).by_kind("cache-hit")
+        assert hits and all(set(r.data) == {"job_id", "result"} for r in hits)
+        second = journaled_gateway(path)
+        summary = second.recover()
+        assert summary["requeued"] == 0 and summary["truncated_bytes"] == 0
+        expected = json.loads(
+            (FIXTURES / "journal-0e20b97.state.json").read_text()
+        )
+        assert journal_derived_state(second) == expected
+        # The successor keeps writing: a repeat of restored physics names
+        # the restored job instead of embedding a third copy.
+        repeat = dataclasses.replace(second._specs["a000"], job_id="again")
+        second.submit(repeat)
+        last = WriteAheadJournal.scan(path).records[-1]
+        assert last.kind == "cache-hit" and "result" not in last.data
+        assert last.data["source"] in second.results
+        second.shutdown()
+
+    def test_memory_disk_and_restored_hits_are_byte_equal(self, tmp_path):
+        """One key, three ways to a hit — the in-memory entry, a cold
+        cache reading the disk entry, and a by-reference record replayed
+        — give the same document, accounting included."""
+        path, cache_dir = tmp_path / "j", tmp_path / "cache"
+        first = journaled_gateway(path, result_cache=ResultCache(cache_dir))
+        (leader,) = specs_for("a", 1)
+        run_all(first, [leader])
+        hit = dataclasses.replace(leader, job_id="hit", case_id="case-7")
+        first.submit(hit)
+        first.shutdown()
+        memory = first.results["hit"]
+        assert memory.library_source == "result-cache"
+        disk = ResultCache(cache_dir).get(hit)
+        second = journaled_gateway(path)  # volatile cache: journal only
+        second.recover()
+        restored = second.results["hit"]
+        assert memory.to_json() == disk.to_json() == restored.to_json()
+        # Restored hits share containers with their leader, as live ones
+        # share them with the cache entry.
+        assert restored.k_collision is second.results[leader.job_id].k_collision
+        second.shutdown()
 
     def test_recovered_marker_is_journaled(self, tmp_path):
         path = tmp_path / "j"
@@ -262,39 +352,49 @@ class TestReplayIsOneStreamingScan:
         first = journaled_gateway(path)
         run_all(first, specs_for("a", 4))
         first.shutdown()
-        reads = []
-        read_bytes = Path.read_bytes
+        opens = []
+        real_open = builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if Path(file) == path:
+                opens.append(mode)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(
             Path, "read_bytes",
-            lambda self: reads.append(self) or read_bytes(self),
+            lambda self: pytest.fail(f"whole-file read of {self}"),
         )
         second = journaled_gateway(path)
         second.recover()  # appends its marker: the cursor must be placed
         second.submit(specs_for("z", 1)[0])
-        assert reads == [path]
+        # Opened once to replay, once to append; never read whole.
+        assert opens == ["rb", "ab"]
         second.shutdown()
         assert [r.seq for r in WriteAheadJournal.scan(path).records] == \
             list(range(1, 16 + 1 + 2 + 1))  # run, marker, accepted + hit
 
+    @pytest.mark.parametrize("n_jobs", [2048, 8192])
     def test_replay_transient_is_bounded_by_the_file_not_the_records(
-        self, tmp_path
+        self, tmp_path, n_jobs
     ):
-        """No list of parsed records: what ``recover()`` allocates beyond
-        the state it keeps is the one buffer holding the file's bytes."""
+        """No list of parsed records and no copy of the file: what
+        ``recover()`` allocates beyond the state it keeps is one frame
+        and the read buffer — a constant, whatever the journal's size."""
         path = tmp_path / "j"
-        first = journaled_gateway(path, capacity=2048, max_class_share=1.0)
-        run_all(first, specs_for("a", 2048, distinct=1536))
+        first = journaled_gateway(path, capacity=n_jobs, max_class_share=1.0)
+        run_all(first, specs_for("a", n_jobs, distinct=n_jobs * 3 // 4))
         first.shutdown()
-        journal_bytes = path.stat().st_size
-        second = journaled_gateway(path, capacity=2048, max_class_share=1.0)
+        assert path.stat().st_size > 8 * 256 * 1024
+        second = journaled_gateway(path, capacity=n_jobs, max_class_share=1.0)
         tracemalloc.start()
         try:
             second.recover()
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(second.results) == 2048
-        assert peak - retained <= 2 * journal_bytes
+        assert len(second.results) == n_jobs
+        assert peak - retained <= 256 * 1024
         second.shutdown()
 
 
@@ -304,7 +404,8 @@ class TestJournalBytesAreTheContract:
         "leader-elected": {"job_id", "key"},
         "routed": {"job_id", "shard", "front"},
         "completed": {"job_id", "status", "shard", "result"},
-        "cache-hit": {"job_id", "result"},
+        "cache-hit": {"job_id", "source"},
+        "cache-hit, embedded": {"job_id", "result"},
         "quarantined": {"shard", "requeued"},
         "recovered": {"replayed", "restored", "pending", "truncated_bytes"},
     }
@@ -312,7 +413,10 @@ class TestJournalBytesAreTheContract:
     def kinds(self, path, start=0):
         records = WriteAheadJournal.scan(path).records[start:]
         for record in records:
-            assert set(record.data) == self.FIELDS[record.kind], record
+            shape = record.kind
+            if shape == "cache-hit" and "source" not in record.data:
+                shape = "cache-hit, embedded"
+            assert set(record.data) == self.FIELDS[shape], record
         return sorted(record.kind for record in records)
 
     def test_clean_run_journals_exactly_these_records(self, tmp_path):
@@ -324,10 +428,37 @@ class TestJournalBytesAreTheContract:
             4 * ["accepted", "leader-elected", "routed", "completed"]
             + 2 * ["accepted", "cache-hit"]
         )
+        # Both hits name the leader whose ``completed`` record, earlier
+        # in this file, carries their payload.
+        scan = WriteAheadJournal.scan(path)
+        landed = set()
+        for record in scan.records:
+            if record.kind == "cache-hit":
+                assert record.data["source"] in landed, record
+            if record.kind == "completed":
+                landed.add(record.data["job_id"])
         second = journaled_gateway(path)
         second.recover()
         second.shutdown()
         assert self.kinds(path, start=20) == ["recovered"]
+
+    def test_a_hit_from_an_earlier_runs_disk_entry_embeds(self, tmp_path):
+        """No record in *this* journal carries the payload, so the first
+        hit must; the repeat of the same physics then names that hit."""
+        first = disk_cache_history(
+            lambda **kw: journaled_gateway(tmp_path / "j", **kw), tmp_path
+        )
+        repeat = dataclasses.replace(first._specs["a000"], job_id="repeat")
+        first.submit(repeat)
+        first.shutdown()
+        hits = WriteAheadJournal.scan(tmp_path / "j").by_kind("cache-hit")
+        assert [set(r.data) for r in hits] == (
+            4 * [{"job_id", "result"}] + [{"job_id", "source"}]
+        )
+        assert hits[-1].data["source"] == "a000"
+        assert self.kinds(tmp_path / "j") == sorted(
+            5 * ["accepted", "cache-hit"]
+        )
 
     def test_quarantine_requeue_adds_routed_records_only(self, tmp_path):
         path = tmp_path / "j"
@@ -353,6 +484,8 @@ class TestReplayFailsTypedOnExternalBytes:
         ("accepted", {"job_id": "x", "spec": "not an object"}),
         ("cache-hit", {"job_id": "x"}),
         ("cache-hit", {"job_id": "x", "result": {"no_such_field": 1}}),
+        ("cache-hit", {"job_id": "x", "result": 7}),
+        ("cache-hit", {"job_id": "x", "source": "x"}),
         ("completed", {"job_id": "x", "status": "done", "shard": 0}),
         ("completed", {"job_id": "x", "status": "done", "result": RESULT}),
         ("completed", {"job_id": "x", "shard": "zero", "result": RESULT}),
@@ -368,6 +501,18 @@ class TestReplayFailsTypedOnExternalBytes:
             journal.append(kind, **data)
         gw = journaled_gateway(path)
         with pytest.raises(JournalError, match=f"{kind} record seq 2"):
+            gw.recover()
+        gw.shutdown()
+
+    def test_a_source_the_journal_never_landed_is_typed(self, tmp_path):
+        path = tmp_path / "j"
+        spec = specs_for("a", 1)[0]
+        with WriteAheadJournal(path) as journal:
+            journal.append("accepted", job_id=spec.job_id, cls="priority-0",
+                           spec=spec.to_dict())
+            journal.append("cache-hit", job_id=spec.job_id, source="ghost")
+        gw = journaled_gateway(path)
+        with pytest.raises(JournalError, match="cache-hit record seq 2.*ghost"):
             gw.recover()
         gw.shutdown()
 

@@ -78,6 +78,29 @@ class TestHitSemantics:
         assert hit.worker_id == -1
         assert hit.service_seconds == 0.0
 
+    def test_put_keeps_the_callers_document_and_hits_share_it(self):
+        """The stated contract: ``put(doc=)`` stores that very dict (no
+        second encoding), and what ``get`` hands out shares its traces
+        and counters with the entry — results are read-only."""
+        cache = ResultCache()
+        s = spec(seed=6)
+        result = done_result(s)
+        doc = result.to_dict()
+        assert cache.put(s, result, s.cache_key(), doc)
+        first = cache.get(s, s.cache_key())
+        second = cache.get(spec(seed=6, job_id="other"))
+        assert first.k_collision is doc["k_collision"] is second.k_collision
+        assert first.counters is doc["counters"]
+        assert doc["job_id"] == s.job_id and second.job_id == "other"
+        # Without a document the cache builds its own copy of the result.
+        s2 = spec(seed=7)
+        r2 = done_result(s2)
+        cache.put(s2, r2)
+        assert cache.get(s2).k_collision is not r2.k_collision
+        assert cache.get(s2).to_json() == ResultCache.restamp(
+            r2.to_dict(), s2
+        ).to_json()
+
     def test_scheduling_metadata_does_not_fragment_keys(self):
         """Same physics under different priority/deadline/job-id: one key."""
         a = spec(seed=4, job_id="a", priority=5)

@@ -1,6 +1,10 @@
 """JobSpec/JobResult: JSON round trip, validation, fingerprints."""
 
+import copy
+import dataclasses
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.data import LibraryConfig, library_fingerprint
 from repro.errors import JobError
@@ -116,6 +120,98 @@ class TestJobResult:
     def test_unknown_field_rejected(self):
         with pytest.raises(JobError, match="unknown job result fields"):
             JobResult.from_dict({"job_id": "x", "bogus": 1})
+
+    @pytest.mark.parametrize("data", [7, "job_id", ["job_id"], None, 1.5])
+    def test_non_object_document_is_typed(self, data):
+        """Same door as ``JobSpec.from_dict``: an ``int`` used to raise a
+        bare ``TypeError``, a ``str`` an "unknown fields" message about
+        its characters."""
+        with pytest.raises(JobError, match="must be an object, got "
+                                           + type(data).__name__):
+            JobResult.from_dict(data)
+        with pytest.raises(JobError, match="must be an object"):
+            JobSpec.from_dict(data)
+
+
+# -- to_dict is dataclasses.asdict, without the deepcopy ----------------------
+
+_scalars = (
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6)
+)
+#: What a settings value can be: a scalar, or rows of pairs the way
+#: ``fuel_overrides`` / ``core_pattern`` arrive (tuples in Python, lists
+#: after JSON).
+_setting_values = _scalars | st.one_of(
+    st.lists(st.lists(_scalars, max_size=3), max_size=3),
+    st.lists(st.tuples(st.text(max_size=4), st.floats()), max_size=3)
+    .map(tuple),
+)
+_setting_names = st.sampled_from(sorted(
+    f.name for f in dataclasses.fields(Settings)
+    if f.name not in ("checkpoint_every", "checkpoint_dir")
+))
+_traces = st.lists(st.floats(allow_nan=True), max_size=200)
+
+job_specs = st.builds(
+    JobSpec,
+    job_id=st.text(max_size=8),
+    fidelity=st.sampled_from(["tiny", "default"]),
+    library_temperature=st.none() | st.floats(allow_nan=True),
+    settings=st.dictionaries(_setting_names, _setting_values, max_size=6),
+    priority=st.integers(-5, 5),
+    deadline_s=st.none() | st.floats(allow_nan=True),
+    case_id=st.text(max_size=8),
+)
+job_results = st.builds(
+    JobResult,
+    job_id=st.text(max_size=8),
+    status=st.sampled_from(["done", "failed", "expired", "poisoned"]),
+    k_effective=st.floats(allow_nan=True),
+    k_collision=_traces, k_absorption=_traces, k_track=_traces,
+    entropy=_traces,
+    counters=st.dictionaries(st.text(max_size=6), _scalars, max_size=5),
+    wall_time=st.floats(allow_nan=True),
+    error=st.none() | st.text(max_size=8),
+)
+
+
+def _scribble(value):
+    """Mutate every container reachable from ``value``, in place."""
+    if isinstance(value, dict):
+        for item in list(value.values()):
+            _scribble(item)
+        value["scribbled"] = True
+    elif isinstance(value, list):
+        for item in value:
+            _scribble(item)
+        value.append("scribbled")
+
+
+class TestToDictIsAsdict:
+    @given(x=job_specs | job_results)
+    def test_equal_to_asdict_and_independent_of_the_dataclass(self, x):
+        # NaN fields compare equal here because neither copy rebuilds a
+        # float: both documents hold the dataclass's own objects.
+        before = dataclasses.asdict(x)
+        doc = x.to_dict()
+        assert doc == before
+        assert list(doc) == list(before)  # field order too
+        assert type(x).from_dict(copy.copy(doc)).to_dict() == before
+        _scribble(doc)
+        assert dataclasses.asdict(x) == before
+
+    def test_asdict_is_not_what_runs(self, monkeypatch):
+        import repro.serve.jobs as jobs
+
+        assert not hasattr(jobs, "asdict")
+        monkeypatch.setattr(
+            dataclasses, "asdict",
+            lambda *a, **k: pytest.fail("dataclasses.asdict called"),
+        )
+        spec = JobSpec(job_id="flat", settings=dict(SETTINGS))
+        assert JobSpec.from_json(spec.to_json()) == spec
+        assert JobResult.failure(spec, "x").to_dict()["error"] == "x"
 
 
 class TestScenarioProvenance:
