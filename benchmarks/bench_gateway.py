@@ -22,11 +22,20 @@ service and checkpointing does inside a run:
 Per-job sojourn (submit -> done) is folded into a fixed-bucket
 :class:`~repro.serve.metrics.Histogram` and reported as p50/p99 — the
 open-loop analogue of the service bench's jobs/s line.
+
+After the timed rounds an untimed **recovery leg** journals one more
+drain and recovers it on a fresh gateway: the ``tracemalloc`` bytes the recovered
+gateway holds per restored job go to the benchmark JSON as
+``extra_info`` and are gated against ``recovered_bytes_per_job`` in the
+baseline (deterministic to a few bytes on one Python version).
 """
 
+import gc
 import hashlib
+import itertools
 import json
 import threading
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -124,15 +133,56 @@ def open_loop_drain(specs):
     return seconds, sojourn, gw
 
 
-def test_open_loop_throughput_regression_gate():
-    """1k+ jobs through 4 synthetic shards: the normalized drain time
-    must not regress more than 25% over the committed baseline."""
-    seconds = float("inf")
-    for round_no in range(3):
-        t, sojourn, gw = open_loop_drain(
-            make_specs(N_JOBS, f"ol{round_no}-")
+def recovered_bytes_per_job(journal: Path) -> float:
+    """Journal one drain of ``N_JOBS`` jobs, then ``recover()`` it on a
+    fresh gateway: the ``tracemalloc`` bytes that gateway still holds
+    afterwards (specs, results, cache entries), per restored job."""
+
+    def journaled():
+        return Gateway(
+            N_SHARDS,
+            workers_per_shard=2,
+            capacity=N_JOBS,
+            max_class_share=1.0,
+            service_factory=SyntheticService,
+            journal_path=journal,
         )
-        seconds = min(seconds, t)
+
+    with journaled() as gw:
+        for spec in make_specs(N_JOBS, "rc-"):
+            gw.submit(spec)
+        gw.drain(deadline_s=120)
+    second = journaled()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        summary = second.recover()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        second.shutdown()
+    assert summary["restored"] == N_JOBS and summary["requeued"] == 0
+    return held / summary["restored"]
+
+
+def test_open_loop_throughput_regression_gate(benchmark, tmp_path):
+    """1k+ jobs through 4 synthetic shards: the normalized drain time
+    must not regress more than 25% over the committed baseline; then the
+    untimed recovery leg's bytes per restored job are gated too."""
+    best = {"seconds": float("inf")}
+    round_no = itertools.count()
+
+    def one_round():
+        t, sojourn, gw = open_loop_drain(
+            make_specs(N_JOBS, f"ol{next(round_no)}-")
+        )
+        best["seconds"] = min(best["seconds"], t)
+        best["sojourn"], best["gw"] = sojourn, gw
+
+    benchmark.pedantic(one_round, rounds=3, iterations=1)
+    seconds, sojourn, gw = best["seconds"], best["sojourn"], best["gw"]
 
     cal = calibration_time()
     ratio = seconds / cal
@@ -146,10 +196,25 @@ def test_open_loop_throughput_regression_gate():
         f"{sojourn.quantile(0.99) * 1e3:.0f} ms; ratio {ratio:.2f} vs "
         f"recorded {recorded['ratio']:.2f} (calibration {cal * 1e3:.0f} ms)"
     )
+    # The recovery leg runs before either gate is checked, so its figure
+    # reaches the benchmark JSON whichever gate fails.
+    per_job = recovered_bytes_per_job(tmp_path / "journal.log")
+    benchmark.extra_info["recovered_bytes_per_job"] = per_job
+    held = BASELINE["recovered_bytes_per_job"]
+    print(
+        f"gateway recovery: {per_job:.0f} B held per restored job "
+        f"(recorded parent {held['parent']:.0f}, change {held['change']:.0f},"
+        f" gate {held['gate']:.0f})"
+    )
     gate = BASELINE["gate_factor"] * recorded["ratio"]
     assert ratio <= gate, (
         f"gateway drain regressed: normalized ratio {ratio:.2f} exceeds "
         f"gate {gate:.2f} (recorded ratio {recorded['ratio']:.2f} + 25%)"
+    )
+    assert per_job <= held["gate"], (
+        f"a recovered gateway holds {per_job:.0f} B per restored job, over "
+        f"the gate {held['gate']:.0f} (recorded parent {held['parent']:.0f},"
+        f" change {held['change']:.0f})"
     )
 
 

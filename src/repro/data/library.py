@@ -19,11 +19,12 @@ paper-shaped grids (thousands of points per nuclide).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import zlib
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -139,11 +140,16 @@ def library_fingerprint(model: str, config: LibraryConfig) -> str:
     ``build_library`` is deterministic in ``(model, config)``, so two equal
     fingerprints guarantee bit-identical libraries.  The service layer keys
     its on-disk cache and its worker-affinity batching on this value.
+    Memoized by field value *and* type: ``600`` and ``600.0`` encode apart.
     """
-    blob = json.dumps(
-        {"model": model, "config": asdict(config)}, sort_keys=True
-    ).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return _fingerprint(model, *vars(config).values())
+
+
+@functools.lru_cache(maxsize=256, typed=True)  # a service meets a handful
+def _fingerprint(model: str, *values) -> str:
+    config = dict(zip((f.name for f in fields(LibraryConfig)), values))
+    blob = json.dumps({"model": model, "config": config}, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _nuclide_rng(config: LibraryConfig, name: str) -> np.random.Generator:

@@ -61,7 +61,7 @@ from collections import deque
 from pathlib import Path
 
 from ..errors import GatewayError, JobError, JournalError, QueueFullError
-from ..serve.jobs import JobResult, JobSpec
+from ..serve.jobs import JobResult, JobSpec, compact
 from ..supervise.circuit import CircuitBreaker
 from ..supervise.deadline import Deadline
 from ..supervise.health import HealthMonitor
@@ -240,8 +240,9 @@ class Gateway:
             self._payload_job.setdefault(key, result.job_id)
 
     def _completed(self, result: JobResult, shard_id: int, doc: dict, key=None):
-        """``doc`` is the record's ``result`` document (the cache keeps
-        it), ``key`` the job's cache key when the caller has it."""
+        """``doc`` is the document the cache keeps: the journaled one on
+        the live path, on replay ``result``'s own field dict (a landing
+        is held once); ``key`` is the job's cache key when known."""
         self.results[result.job_id] = result
         shard_key = f"shard-{shard_id}"
         if result.status == "done":
@@ -533,6 +534,8 @@ class Gateway:
 
     def _replay(self, record: JournalRecord, keys: dict[str, str]) -> None:
         """The replay decoder: one journal record → its transition.
+        Decoded specs and results share canonical names and enumerated
+        strings; a ``completed`` landing's cache entry is its result's dict.
         The bytes are external: a well-framed record this gateway never
         wrote (missing field, undecodable spec or result, a ``source``
         that never landed) fails typed."""
@@ -550,13 +553,13 @@ class Gateway:
                     self._specs[data["job_id"]],
                 ))
             elif kind == "cache-hit":
-                result = JobResult.from_dict(data["result"])
+                result = JobResult.from_dict(compact(data["result"]))
                 spec = self._specs.get(result.job_id)
                 self._cache_hit(result, spec and spec.cache_key())
             elif kind == "completed":
-                doc = data["result"]
+                result = JobResult.from_dict(compact(data["result"]))
                 self._completed(
-                    JobResult.from_dict(doc), int(data["shard"]), doc,
+                    result, int(data["shard"]), vars(result),
                     keys.pop(data["job_id"], None),
                 )
             elif kind == "quarantined":

@@ -11,7 +11,9 @@ and the value is the completed :class:`~repro.serve.jobs.JobResult`'s
 **byte-identical in its physics payload** to recomputation
 (``payload_json`` equality; the determinism tests prove it).  The
 gateway hands ``put`` the document it has just journaled — a landing is
-encoded once and held once.
+encoded once and held once; a replayed landing's entry *is* its restored
+result's field dict.  Decoded documents (journal, disk) share canonical
+field names and enumerated strings, as built ones do.
 
 Mechanics:
 
@@ -41,7 +43,8 @@ scheduling identity (job id, scenario provenance) and marked
 physics from the cache, bookkeeping from this submission
 (:meth:`ResultCache.restamp`, which journal replay also uses for a
 by-reference ``cache-hit``).  **Results handed out share their trace
-lists and counters with the cache entry and are read-only.**
+lists and counters with the cache entry and are read-only** — a restored
+landing's scalar fields too, since its field dict is the entry.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from pathlib import Path
 
 from ..durable import atomic_write_text, quarantine
 from ..errors import CorruptEntryError, GatewayError
-from ..serve.jobs import JobResult, JobSpec
+from ..serve.jobs import JobResult, JobSpec, compact
 
 __all__ = ["ResultCache"]
 
@@ -212,7 +215,7 @@ class ResultCache:
             self._quarantine(path)
             return None
         try:
-            return self._verify_entry(path, text)
+            return compact(self._verify_entry(path, text))
         except CorruptEntryError:
             self._quarantine(path)
             return None

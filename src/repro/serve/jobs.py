@@ -22,6 +22,7 @@ import hashlib
 import json
 import uuid
 from dataclasses import dataclass, field, fields, replace
+from sys import intern
 
 from ..data.library import LibraryConfig, library_fingerprint
 from ..errors import JobError, ReproError
@@ -35,6 +36,10 @@ __all__ = ["JobSpec", "JobResult"]
 _ALLOWED_SETTINGS = frozenset(
     f.name for f in fields(Settings)
 ) - {"checkpoint_every", "checkpoint_dir"}
+
+#: Enumerated strings a decoded document shares (unique ids stay as read).
+_SHARED = {"model", "fidelity", "mode", "status", "library_source",
+           "library_fingerprint"}
 
 _FIDELITIES = ("tiny", "default")
 
@@ -53,6 +58,15 @@ _IDENTITY_FIELDS = (
 
 def _new_job_id() -> str:
     return uuid.uuid4().hex[:12]
+
+
+def compact(doc):
+    """A decoded ``doc`` as lean as a built one: canonical (interned) field
+    names, shared enumerated strings.  A non-dict is left to its decoder."""
+    if type(doc) is not dict:
+        return doc
+    return {intern(k): intern(v) if k in _SHARED and type(v) is str
+            else v for k, v in doc.items()}
 
 
 def _plain(value):
@@ -108,7 +122,9 @@ class JobSpec:
                 f"job {self.job_id}: unknown fidelity {self.fidelity!r} "
                 f"(want one of {_FIDELITIES})"
             )
-        unknown = set(self.settings) - _ALLOWED_SETTINGS
+        if not isinstance(self.settings, dict):
+            raise JobError(f"job {self.job_id}: settings must be an object")
+        unknown = self.settings.keys() - _ALLOWED_SETTINGS
         if unknown:
             raise JobError(
                 f"job {self.job_id}: unknown settings keys {sorted(unknown)}"
@@ -170,6 +186,8 @@ class JobSpec:
         if unknown:
             raise JobError(f"unknown job spec fields {sorted(unknown)}")
         try:
+            data = compact(data)
+            data["settings"] = compact(data.get("settings", {}))
             return cls(**data)
         except TypeError as exc:
             raise JobError(f"malformed job spec: {exc}") from exc

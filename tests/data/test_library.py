@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.data import LibraryConfig, build_library, build_nuclide, fuel_nuclide_names
+from dataclasses import replace
+
+from repro.data import (
+    LibraryConfig,
+    build_library,
+    build_nuclide,
+    fuel_nuclide_names,
+    library_fingerprint,
+)
 from repro.data.library import CLAD_NUCLIDES, HM_SMALL_FUEL, WATER_NUCLIDES
 from repro.errors import DataError
 from repro.types import Reaction
@@ -129,6 +137,29 @@ class TestConfigs:
         assert nuc.name == "U238"
         assert urr is not None
         assert sab is None
+
+    def test_fingerprint_is_pinned_and_one_string_per_library(self):
+        tiny = LibraryConfig.tiny()
+        assert library_fingerprint("hm-small", LibraryConfig()) == (
+            "d42caff01b0798abf42a3fc68bed5f714a6f30c2053f61b6dd21e9d626f25f16"
+        )
+        assert library_fingerprint("hm-small", tiny) == (
+            "5eeb9c0960087d012a38fb777c1809a9fb6be0de8c7141633a5444e556d195a1"
+        )
+        assert library_fingerprint("hm-small", LibraryConfig.tiny()) is (
+            library_fingerprint("hm-small", tiny)
+        )
+        assert library_fingerprint("hm-large", tiny) != (
+            library_fingerprint("hm-small", tiny)
+        )
+        # Equal configs whose fields encode apart keep apart fingerprints,
+        # whichever of them was asked for first.
+        assert library_fingerprint(
+            "hm-small", replace(tiny, temperature=600)
+        ) == "86066ca08140657a5ecbe2ea896fad1a542a1e54524e2eda79d9da41dd9bd9e0"
+        assert library_fingerprint(
+            "hm-small", replace(tiny, temperature=600.0)
+        ) == "7bb4813a54f518419367e1c7869587bbdf6a51108eff68a83fe3ab2353b68562"
 
     def test_fission_q(self, small_library):
         assert small_library.fission_q("U235") == pytest.approx(200.0)

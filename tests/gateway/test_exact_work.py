@@ -8,10 +8,16 @@ replay re-serialise anything) moves one of these by a whole number.
 Only calls on the *main* thread are counted: the gateway's own work
 runs there, the synthetic shards' (which hash and key specs to
 fabricate results) on their pump threads.
+
+What a recovered gateway *holds* is pinned the same way: the key
+objects of its restored documents do not grow with the journal, and its
+``tracemalloc`` bytes per job stay at the live gateway's.
 """
 
+import gc
 import json
 import threading
+import tracemalloc
 
 import pytest
 
@@ -71,6 +77,48 @@ def calls(monkeypatch):
 
 def gateway(path):
     return Gateway(2, service_factory=SyntheticService, journal_path=path)
+
+
+def journaled_run(path, n) -> Gateway:
+    """``n`` cold jobs over ``3n/4`` physics identities, then ``n`` warm
+    repeats, through a journaled gateway (shut down on return)."""
+    gw = Gateway(2, capacity=2 * n, max_class_share=1.0,
+                 service_factory=SyntheticService, journal_path=path)
+    for prefix in ("c", "w"):
+        for i in range(n):
+            gw.submit(JobSpec(job_id=f"{prefix}{i:04d}",
+                              settings=dict(TINY, seed=i % (n * 3 // 4))))
+        gw.drain(deadline_s=60)
+    gw.shutdown()
+    return gw
+
+
+def recovered(path) -> Gateway:
+    gw = gateway(path)
+    gw.recover()
+    gw.shutdown()
+    return gw
+
+
+def held_bytes(build):
+    """``(object, tracemalloc bytes still held once build() returned it)``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build()
+        gc.collect()
+        return built, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def key_census(gw) -> int:
+    """Distinct ``str`` objects used as keys across the restored specs'
+    settings and the result-cache entries."""
+    docs = [spec.settings for spec in gw._specs.values()]
+    docs += gw.result_cache._entries.values()
+    return len({id(key) for doc in docs for key in doc})
 
 
 def result_dumps(calls) -> int:
@@ -161,3 +209,39 @@ class TestReplay:
         # ... and the cache it seeded answers without further work.
         assert len(second.result_cache) == N_DISTINCT
         second.shutdown()
+
+    def test_restored_documents_hold_one_key_per_field_name(self, tmp_path):
+        """Decoded documents keep the canonical name objects, so the keys
+        a recovered gateway holds do not grow with its journal; and each
+        replayed landing is held once, as its result's own field dict."""
+        census = []
+        for n in (32, 128):
+            live = journaled_run(tmp_path / f"j{n}", n)
+            gw = recovered(tmp_path / f"j{n}")
+            assert len(gw.results) == 2 * n
+            assert len(gw._payload_job) == len(gw.result_cache) == n * 3 // 4
+            for key, job_id in gw._payload_job.items():
+                assert gw.result_cache._entries[key] is vars(gw.results[job_id])
+            # A hit the recovered cache serves is the one served before.
+            for spec in live._specs.values():
+                assert gw.result_cache.get(spec).payload_json() == (
+                    live.results[spec.job_id].payload_json()
+                )
+            census.append(key_census(gw))
+        assert census[0] == census[1]
+
+    def test_a_recovered_job_costs_what_a_live_one_did(self, tmp_path):
+        """Bytes held per job: the recovered gateway holds no more than
+        the live one that wrote the journal (its specs, results and
+        cache entries included), within 10 %."""
+        n = 256
+        path = tmp_path / "j"
+        live, live_bytes = held_bytes(lambda: journaled_run(path, n))
+        second, recovered_bytes = held_bytes(lambda: recovered(path))
+        assert len(live.results) == len(second.results) == 2 * n
+        live_per_job = live_bytes / (2 * n)
+        recovered_per_job = recovered_bytes / (2 * n)
+        assert recovered_per_job <= 1.1 * live_per_job, (
+            f"recovered {recovered_per_job:.0f} B/job vs live "
+            f"{live_per_job:.0f} B/job"
+        )

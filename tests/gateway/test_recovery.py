@@ -491,6 +491,11 @@ class TestReplayFailsTypedOnExternalBytes:
         ("completed", {"job_id": "x", "shard": "zero", "result": RESULT}),
         ("quarantined", {"shard": 1}),
         ("quarantined", {"requeued": []}),
+        ("accepted", {"job_id": "x", "spec": ["a", "list"]}),
+        ("accepted", {"job_id": "x", "spec": {"settings": "a string"}}),
+        ("accepted", {"job_id": "x", "spec": {"settings": ["mode"]}}),
+        ("completed", {"job_id": "x", "shard": 0, "result": ["a", "list"]}),
+        ("cache-hit", {"job_id": "x", "result": dict(RESULT, extra=1)}),
     ])
     def test_undecodable_record_names_its_seq_and_kind(
         self, tmp_path, kind, data
@@ -500,8 +505,10 @@ class TestReplayFailsTypedOnExternalBytes:
             journal.append("routed", job_id="x", shard=0, front=False)
             journal.append(kind, **data)
         gw = journaled_gateway(path)
-        with pytest.raises(JournalError, match=f"{kind} record seq 2"):
+        with pytest.raises(JournalError, match=f"{kind} record seq 2") as err:
             gw.recover()
+        # Decoded as data, not tripped over: never an AttributeError.
+        assert not isinstance(err.value.__cause__, AttributeError)
         gw.shutdown()
 
     def test_a_source_the_journal_never_landed_is_typed(self, tmp_path):

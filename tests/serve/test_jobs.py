@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from repro.data import LibraryConfig, library_fingerprint
 from repro.errors import JobError
 from repro.resilience.checkpoint import settings_fingerprint
 from repro.serve import JobResult, JobSpec
+from repro.serve.jobs import compact
 from repro.transport import Settings, Simulation
 
 SETTINGS = {
@@ -37,6 +39,11 @@ class TestJobSpec:
     def test_unknown_settings_key_rejected(self):
         with pytest.raises(JobError, match="unknown settings keys"):
             JobSpec(settings={"n_partcles": 10})
+
+    @pytest.mark.parametrize("settings", ["mode", ["mode"], None])
+    def test_non_object_settings_rejected(self, settings):
+        with pytest.raises(JobError, match="settings must be an object"):
+            JobSpec(settings=settings)
 
     def test_checkpoint_settings_are_not_job_settings(self):
         with pytest.raises(JobError, match="checkpoint_every"):
@@ -77,6 +84,16 @@ class TestJobSpec:
             other_seed.library_fingerprint(),
         }
         assert len(fps) == 3
+
+    def test_a_decoded_spec_shares_canonical_keys_and_values(self):
+        text = JobSpec(job_id="decoded", settings=dict(SETTINGS)).to_json()
+        a, b = JobSpec.from_json(text), JobSpec.from_json(text)
+        assert a == b
+        for key_a, key_b in zip(a.settings, b.settings):
+            assert key_a is key_b
+        assert a.settings["mode"] is b.settings["mode"]
+        assert a.model is b.model and a.fidelity is b.fidelity
+        assert a.job_id is not b.job_id  # unique values stay unshared
 
     def test_scheduling_fields_do_not_change_fingerprints(self):
         a = JobSpec(job_id="a", settings=dict(SETTINGS), priority=9)
@@ -120,6 +137,18 @@ class TestJobResult:
     def test_unknown_field_rejected(self):
         with pytest.raises(JobError, match="unknown job result fields"):
             JobResult.from_dict({"job_id": "x", "bogus": 1})
+
+    def test_canonical_document_keys_on_the_field_names(self):
+        names = {f.name: f.name for f in dataclasses.fields(JobResult)}
+        result = JobResult(job_id="r1", mode="event", k_effective=1.0,
+                           k_std_err=0.0, library_source="memory")
+        a, b = (json.loads(result.to_json()) for _ in range(2))
+        kept_a, kept_b = compact(a), compact(b)
+        assert kept_a == a and JobResult.from_dict(kept_a) == result
+        assert all(key is names[key] for key in kept_a)
+        for name in ("status", "mode", "library_source"):
+            assert kept_a[name] is kept_b[name]
+        assert compact(["not", "a", "dict"]) == ["not", "a", "dict"]
 
     @pytest.mark.parametrize("data", [7, "job_id", ["job_id"], None, 1.5])
     def test_non_object_document_is_typed(self, data):
