@@ -46,7 +46,6 @@ def drain(n_workers, specs, *, cache_dir=None):
     service = SimulationService(
         n_workers=n_workers,
         cache_dir=str(cache_dir) if cache_dir else None,
-        capacity=max(16, len(specs)),
     )
     results = service.run(specs)
     service.shutdown()

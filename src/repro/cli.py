@@ -5,14 +5,11 @@ Subcommands::
     repro-sim run --pincell --particles 500 --mode event
     repro-sim checkpoint --pincell --dir ckpts --every 2   # checkpointed run
     repro-sim resume --pincell --dir ckpts                 # continue latest
-    repro-sim submit --spool jobs/ --pincell --particles 500
-    repro-sim serve --spool jobs/ --workers 4 --cache xs-cache/
-    repro-sim status --spool jobs/
     repro-sim scenario validate --all          # check every canned document
     repro-sim scenario run hm-full-core        # canned name or a JSON path
-    repro-sim suite expand hm-tiny-sweep --json | repro-sim serve --jobs -
+    repro-sim suite submit hm-tiny-sweep --spool jobs/
     repro-sim suite expand hm-tiny-sweep --json \
-        | repro-sim gateway submit --jobs - --shards 2
+        | repro-sim gateway serve --jobs - --shards 2
     repro-sim gateway serve --spool jobs/ --shards 2
     repro-sim gateway serve --spool jobs/ --journal jobs/gateway.journal
     repro-sim gateway status --spool jobs/
@@ -28,16 +25,19 @@ break otherwise).
 (:mod:`repro.scenarios`): ``scenario validate|compile|run`` check, lower,
 and execute one document (canned scenarios are addressable by bare name);
 ``suite expand`` prints a sweep's job specs (``--json`` emits JSON lines
-that pipe straight into ``serve --jobs -``) and ``suite submit`` spools
-them for a later ``serve``.
+that pipe straight into ``gateway serve --jobs -``) and ``suite submit``
+spools them for a later ``gateway serve --spool``.
 
-``gateway`` is the sharded front tier (:mod:`repro.gateway`): ``gateway
-serve``/``gateway submit`` drain jobs through N node-local services with
-fingerprint-affine routing, admission control, and a result cache
-(``--result-cache DIR`` persists it, so resubmitting an identical sweep
-is answered without running a single simulation); ``gateway status``
-reports the tier's counters, cache economics, and per-shard health from
-the state document a previous drain wrote.  ``--journal PATH``
+``gateway`` is the one way to serve jobs (:mod:`repro.gateway`):
+``gateway serve`` drains a spool's ``pending/`` (``--spool DIR``, results
+filed back into ``done``/``failed``) or a JSON-lines / JSON-array jobs
+file (``--jobs FILE``, ``-`` for stdin) through N node-local services
+with fingerprint-affine routing, admission control (the tier's one
+capacity), and a result cache (``--result-cache DIR`` persists it, so
+resubmitting an identical sweep is answered without running a single
+simulation); ``gateway status`` reports the tier's counters, cache
+economics, and per-shard health from the state document a previous
+drain wrote.  ``--journal PATH``
 write-ahead journals every gateway transition: restarting the same
 command after a kill replays the journal, restores landed results
 byte-identically, and finishes only the unfinished work.
@@ -47,13 +47,6 @@ byte-identically, and finishes only the unfinished work.
 kill/recover cycles — gateway kills at journal boundaries, shard
 kills, disk corruption, torn spool writes — and audits every cycle for
 byte-identical payloads and exactly-once journal landings.
-
-The service trio works against a file spool: ``submit`` drops a
-:class:`~repro.serve.jobs.JobSpec` into ``SPOOL/pending``, ``serve`` drains
-pending jobs through a multi-worker :class:`~repro.serve.SimulationService`
-(results land in ``done``/``failed``, metrics in ``metrics.json``), and
-``status`` reports progress.  ``serve --jobs FILE`` (or ``-`` for stdin)
-runs a one-shot batch without a spool.
 
 Examples::
 
@@ -74,14 +67,8 @@ from pathlib import Path
 
 from .data import LibraryConfig, build_library
 from .data.io import load_library, save_library
-from .errors import (
-    CheckpointError,
-    DeadlineExceededError,
-    JobError,
-    QueueFullError,
-)
+from .errors import CheckpointError, DeadlineExceededError, JobError
 from .resilience.checkpoint import DEFAULT_CADENCE, latest_checkpoint
-from .resilience.recovery import RetryPolicy
 from .transport import Settings, Simulation, available_backends
 
 __all__ = ["main"]
@@ -200,47 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                     dest="checkpoint_every", metavar="N",
                     help="keep checkpointing every N batches while resumed")
 
-    sm = sub.add_parser("submit", parents=[shared],
-                        help="spool one job for a later (or running) "
-                        "'serve' to execute")
-    sm.add_argument("--spool", required=True, metavar="DIR",
-                    help="spool directory (pending/done/failed)")
-    sm.add_argument("--priority", type=int, default=0,
-                    help="higher priority dispatches first")
-    sm.add_argument("--deadline", type=float, default=None, metavar="S",
-                    help="expire the job if still queued after S seconds")
-    sm.add_argument("--job-id", default=None,
-                    help="explicit job id (default: generated)")
-
-    sv = sub.add_parser("serve",
-                        help="drain a batch of jobs through a multi-worker "
-                        "service")
-    src = sv.add_mutually_exclusive_group(required=True)
-    src.add_argument("--spool", metavar="DIR",
-                     help="process the spool's pending jobs; file results "
-                     "back into it")
-    src.add_argument("--jobs", metavar="FILE",
-                     help="JSON-lines (or JSON array) of job specs; '-' "
-                     "reads stdin")
-    sv.add_argument("--workers", type=int, default=2)
-    sv.add_argument("--cache", metavar="DIR", default=None,
-                    help="shared on-disk library cache directory")
-    sv.add_argument("--capacity", type=int, default=256,
-                    help="queue capacity (jobs beyond it are fed as the "
-                    "queue drains)")
-    sv.add_argument("--max-attempts", type=int, default=3,
-                    help="attempts per job across worker crashes")
-    sv.add_argument("--drain-deadline-s", type=float, default=None,
-                    metavar="S", dest="drain_deadline_s",
-                    help="abort (typed, exit 1) if the drain is still "
-                    "running after S seconds")
-    sv.add_argument("--json", action="store_true", dest="json_output",
-                    help="emit all results + metrics as one JSON document")
-
-    st = sub.add_parser("status", help="report a spool's progress")
-    st.add_argument("--spool", required=True, metavar="DIR")
-    st.add_argument("--json", action="store_true", dest="json_output")
-
     sc = sub.add_parser("scenario",
                         help="validate / compile / run a declarative "
                         "scenario document")
@@ -284,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="canned suite name or JSON/YAML path")
     sue.add_argument("--json", action="store_true", dest="json_output",
                      help="emit job specs as JSON lines "
-                     "(pipe into 'serve --jobs -')")
+                     "(pipe into 'gateway serve --jobs -')")
     sus = susub.add_parser("submit",
                            help="spool every case of a sweep")
     sus.add_argument("source", metavar="NAME_OR_PATH")
@@ -296,42 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "result cache)")
     gwsub = gw.add_subparsers(dest="gateway_command", required=True)
 
-    def _gateway_opts(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--shards", type=int, default=2,
-                            help="node-local service shards")
-        parser.add_argument("--workers-per-shard", type=int, default=1,
-                            dest="workers_per_shard")
-        parser.add_argument("--cache", metavar="DIR", default=None,
-                            help="library cache root (one subtree per "
-                            "shard)")
-        parser.add_argument("--result-cache", metavar="DIR", default=None,
-                            dest="result_cache",
-                            help="persist the result cache on disk: "
-                            "identical resubmissions are answered without "
-                            "simulating")
-        parser.add_argument("--capacity", type=int, default=256,
-                            help="gateway-wide in-flight admission bound")
-        parser.add_argument("--max-class-share", type=float, default=0.5,
-                            dest="max_class_share", metavar="FRAC",
-                            help="fairness cap: one priority class may "
-                            "hold at most FRAC of capacity")
-        parser.add_argument("--journal", metavar="PATH", default=None,
-                            help="write-ahead journal every state "
-                            "transition to PATH; if PATH already holds "
-                            "records, recover from them first (landed "
-                            "results restore without re-simulating)")
-        parser.add_argument("--deadline-s", type=float, default=None,
-                            metavar="S", dest="deadline_s",
-                            help="abort (typed, exit 1) if the drain "
-                            "overruns S seconds")
-        parser.add_argument("--stream", action="store_true",
-                            help="print per-batch progress events to "
-                            "stderr as they arrive")
-        parser.add_argument("--json", action="store_true",
-                            dest="json_output",
-                            help="emit results + gateway metrics as one "
-                            "JSON document")
-
     gws = gwsub.add_parser("serve",
                            help="drain a spool (or a jobs file) through "
                            "the gateway; file results back")
@@ -342,15 +252,37 @@ def build_parser() -> argparse.ArgumentParser:
     gwsrc.add_argument("--jobs", metavar="FILE",
                        help="JSON-lines (or JSON array) of job specs; "
                        "'-' reads stdin")
-    _gateway_opts(gws)
-
-    gwm = gwsub.add_parser("submit",
-                           help="one-shot: run a jobs file through the "
-                           "gateway and print the results")
-    gwm.add_argument("--jobs", required=True, metavar="FILE",
-                     help="JSON-lines (or JSON array) of job specs; '-' "
-                     "reads stdin")
-    _gateway_opts(gwm)
+    gws.add_argument("--shards", type=int, default=2,
+                     help="node-local service shards")
+    gws.add_argument("--workers-per-shard", type=int, default=1,
+                     dest="workers_per_shard")
+    gws.add_argument("--cache", metavar="DIR", default=None,
+                     help="library cache root (one subtree per shard)")
+    gws.add_argument("--result-cache", metavar="DIR", default=None,
+                     dest="result_cache",
+                     help="persist the result cache on disk: identical "
+                     "resubmissions are answered without simulating")
+    gws.add_argument("--capacity", type=int, default=256,
+                     help="gateway-wide in-flight admission bound")
+    gws.add_argument("--max-class-share", type=float, default=0.5,
+                     dest="max_class_share", metavar="FRAC",
+                     help="fairness cap: one priority class may hold at "
+                     "most FRAC of capacity")
+    gws.add_argument("--journal", metavar="PATH", default=None,
+                     help="write-ahead journal every state transition to "
+                     "PATH; if PATH already holds records, recover from "
+                     "them first (landed results restore without "
+                     "re-simulating)")
+    gws.add_argument("--deadline-s", type=float, default=None,
+                     metavar="S", dest="deadline_s",
+                     help="abort (typed, exit 1) if the drain overruns S "
+                     "seconds")
+    gws.add_argument("--stream", action="store_true",
+                     help="print per-batch progress events to stderr as "
+                     "they arrive")
+    gws.add_argument("--json", action="store_true", dest="json_output",
+                     help="emit results + gateway metrics as one JSON "
+                     "document")
 
     gwt = gwsub.add_parser("status",
                            help="report gateway state from a spool's "
@@ -565,155 +497,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- submit / serve / status --------------------------------------------------
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from .serve.jobs import JobSpec
-    from .serve.service import submit_to_spool
-
-    kwargs = {
-        "model": args.model,
-        "fidelity": args.fidelity,
-        "settings": _job_settings(args),
-        "priority": args.priority,
-        "deadline_s": args.deadline,
-    }
-    if args.job_id:
-        kwargs["job_id"] = args.job_id
-    try:
-        spec = JobSpec(**kwargs)
-        path = submit_to_spool(args.spool, spec)
-    except JobError as exc:
-        print(f"submit failed: {exc}", file=sys.stderr)
-        return 1
-    print(f"submitted {spec.job_id} -> {path}")
-    return 0
+# -- gateway ------------------------------------------------------------------
 
 
 def _read_job_specs(source: str) -> list:
+    """The specs of a JSON-lines or JSON-array jobs file (``-`` reads
+    stdin); raises :class:`JobError` on a malformed spec or a repeated
+    job id."""
     from .serve.jobs import JobSpec
 
     text = sys.stdin.read() if source == "-" else Path(source).read_text()
     text = text.strip()
-    if not text:
-        return []
     if text.startswith("["):
-        return [JobSpec.from_dict(item) for item in json.loads(text)]
-    return [
-        JobSpec.from_json(line)
-        for line in text.splitlines()
-        if line.strip()
-    ]
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve.service import (
-        SimulationService,
-        atomic_write_text,
-        read_spool_pending,
-        write_spool_result,
-    )
-
-    if args.spool:
-        specs = read_spool_pending(args.spool)
+        specs = [JobSpec.from_dict(item) for item in json.loads(text)]
     else:
-        try:
-            specs = _read_job_specs(args.jobs)
-        except (OSError, json.JSONDecodeError, JobError) as exc:
-            print(f"cannot read jobs: {exc}", file=sys.stderr)
-            return 1
-    if not specs:
-        print("no jobs to serve", file=sys.stderr)
-        return 1
-
-    service = SimulationService(
-        n_workers=args.workers,
-        cache_dir=args.cache,
-        capacity=args.capacity,
-        retry_policy=RetryPolicy(max_attempts=args.max_attempts),
-        drain_deadline_s=args.drain_deadline_s,
-    )
-    try:
-        results = service.run(specs)
-    except QueueFullError as exc:  # pragma: no cover - run() feeds politely
-        print(f"queue rejected jobs: {exc}", file=sys.stderr)
-        return 1
-    except DeadlineExceededError as exc:
-        print(f"drain deadline exceeded: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        service.shutdown()
-    summary = service.metrics_summary()
-
-    if args.spool:
-        for result in results:
-            write_spool_result(args.spool, result)
-        atomic_write_text(
-            Path(args.spool) / "metrics.json",
-            json.dumps(summary, indent=2, default=str),
-        )
-
-    failed = [r for r in results if r.status != "done"]
-    if args.json_output:
-        print(json.dumps(
-            {
-                "results": [r.to_dict() for r in results],
-                "metrics": summary["metrics"],
-                "workers": summary["workers"],
-            },
-            indent=2,
-        ))
-    else:
-        for r in results:
-            line = (f"{r.job_id}: {r.status}  worker={r.worker_id} "
-                    f"attempts={r.attempts} library={r.library_source or '-'}")
-            if r.status == "done":
-                line += (f"  k-eff={r.k_effective:.5f}"
-                         f" +/- {r.k_std_err:.5f}")
-            else:
-                line += f"  error={r.error}"
-            print(line)
-        metrics = summary["metrics"]["metrics"]
-        hit_rate = metrics["cache_hit_rate"]["value"]
-        crashes = metrics["worker_crashes"]["value"]
-        print(f"\nserved {len(results)} jobs on {args.workers} workers: "
-              f"{len(results) - len(failed)} done, {len(failed)} "
-              f"failed/expired, library cache hit rate "
-              f"{100 * hit_rate:.0f}%, {crashes} worker crashes recovered")
-    return 1 if failed else 0
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    from .serve.service import spool_status
-
-    status = spool_status(args.spool)
-    if args.json_output:
-        print(json.dumps(status, indent=2, default=str))
-        return 0
-    counts = status["counts"]
-    print(f"spool {status['root']}: {counts['pending']} pending, "
-          f"{counts['done']} done, {counts['failed']} failed")
-    for r in status["results"]:
-        line = (f"  {r['job_id']}: k-eff={r['k_effective']:.5f} "
-                f"+/- {r['k_std_err']:.5f}  worker={r['worker_id']} "
-                f"attempts={r['attempts']} library={r['library_source']}")
-        if r.get("suite_id"):
-            line += f"  suite={r['suite_id']} case={r['case_id']}"
-        print(line)
-    metrics = status.get("metrics")
-    if metrics:
-        m = metrics["metrics"]["metrics"]
-        line = (f"last service: {m['jobs_completed']['value']} completed, "
-                f"cache hit rate {100 * m['cache_hit_rate']['value']:.0f}%, "
-                f"{m['worker_crashes']['value']} crashes recovered")
-        if "retry_after_s" in status:
-            line += f", retry-after hint {status['retry_after_s']:.2f}s"
-        print(line)
-    return 0
-
-
-# -- gateway ------------------------------------------------------------------
+        specs = [JobSpec.from_json(line)
+                 for line in text.splitlines() if line.strip()]
+    seen = set()
+    for spec in specs:
+        if spec.job_id in seen:
+            raise JobError(f"duplicate job id {spec.job_id!r}")
+        seen.add(spec.job_id)
+    return specs
 
 
 def _cmd_gateway_status(args: argparse.Namespace) -> int:
@@ -792,7 +597,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         write_spool_result,
     )
 
-    spool = getattr(args, "spool", None)
+    spool = args.spool
     if spool:
         specs = read_spool_pending(spool)
     else:
@@ -802,7 +607,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             print(f"cannot read jobs: {exc}", file=sys.stderr)
             return 1
 
-    journal = getattr(args, "journal", None)
+    journal = args.journal
     gateway = Gateway(
         args.shards,
         workers_per_shard=args.workers_per_shard,
@@ -1200,7 +1005,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     commands = {
-        "submit": _cmd_submit, "serve": _cmd_serve, "status": _cmd_status,
         "scenario": _cmd_scenario, "suite": _cmd_suite,
         "gateway": _cmd_gateway, "fleet": _cmd_fleet, "chaos": _cmd_chaos,
     }

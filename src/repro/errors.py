@@ -84,10 +84,11 @@ class JobError(ServeError):
 
 
 class QueueFullError(ServeError):
-    """The job queue is at capacity; retry after ``retry_after_s`` seconds.
+    """The gateway's admission is at capacity (or the job's priority class
+    is at its fairness cap); retry after ``retry_after_s`` seconds.
 
     Backpressure is a *typed* rejection, not a silent drop: callers receive
-    an estimate of when capacity should free up (derived from the service's
+    an estimate of when capacity should free up (derived from the tier's
     recent drain rate) and are expected to resubmit.
     """
 

@@ -1,9 +1,10 @@
 """Gateway-edge admission control: bounded, fair, typed backpressure.
 
-The serve queue's contract (PR 2) moves to the front door: capacity is a
-hard bound, rejection is a typed :class:`~repro.errors.QueueFullError`
-carrying an **adaptive retry-after** estimate, and nothing is ever
-silently dropped.  Two additions at gateway scale:
+Admission is the one capacity in the service tier: it is a hard bound,
+rejection is a typed :class:`~repro.errors.QueueFullError` carrying an
+**adaptive retry-after** estimate, and nothing is ever silently dropped.
+Below it, shard queues hold whatever it admits.  Two properties at
+gateway scale:
 
 * **Per-class fairness.**  Jobs are classed by priority band; one class
   may hold at most ``max_class_share`` of total capacity.  Under mixed
@@ -11,10 +12,9 @@ silently dropped.  Two additions at gateway scale:
   the class) while other classes keep admitting — the queue-level
   priority ordering alone cannot provide this, because by the time jobs
   are queued the capacity is already spent.
-* **Cluster-wide drain model.**  The retry hint divides the smoothed
-  mean service time by the fleet's worker slots (shards x workers,
-  shrinking as shards are quarantined), the same EMA the single-node
-  service keeps for its own queue.
+* **Cluster-wide drain model.**  The retry hint (:class:`RetryAfterModel`)
+  divides the smoothed mean service time by the fleet's worker slots
+  (shards x workers, shrinking as shards are quarantined).
 
 Admission state is in-flight occupancy, not queue depth: a job holds its
 slot from ``admit`` until the gateway records its result (done, failed,
@@ -29,9 +29,34 @@ import threading
 
 from ..errors import GatewayError, QueueFullError
 from ..serve.jobs import JobSpec
-from ..serve.queue import RetryAfterModel
 
 __all__ = ["AdmissionController"]
+
+
+class RetryAfterModel:
+    """The adaptive retry-after hint of a full gateway: an EMA of job
+    service time over the worker slots draining it — one slot frees
+    roughly every ``mean / slots`` seconds."""
+
+    ALPHA = 0.3
+    FLOOR_S = 0.05
+
+    def __init__(self) -> None:
+        self.mean_service_s = 0.0
+        #: The current hint; 1 s until a completion has been measured.
+        self.seconds = 1.0
+
+    def note(self, service_s: float, slots: int) -> None:
+        """Fold one completion's service time in (non-positive
+        observations are ignored)."""
+        if service_s > 0:
+            self.mean_service_s = (
+                service_s
+                if self.mean_service_s == 0.0
+                else self.ALPHA * service_s
+                + (1 - self.ALPHA) * self.mean_service_s
+            )
+            self.seconds = max(self.FLOOR_S, self.mean_service_s / slots)
 
 
 class AdmissionController:

@@ -27,10 +27,10 @@ worker progress events), and a
 :class:`~repro.supervise.circuit.CircuitBreaker` that promotes repeated
 *poisoned-job* verdicts on one shard into a **sick-shard** quarantine:
 the shard is evicted, its unfinished jobs re-route deterministically
-around the ring (front of their priority class, capacity-exempt), and
-its fingerprints' next builds land on the surviving shards.  The last
-healthy shard is never quarantined — degraded service beats none, the
-supervise tier's graceful-degradation rule.
+around the ring (front of their priority class), and its fingerprints'
+next builds land on the surviving shards.  The last healthy shard is
+never quarantined — degraded service beats none, the supervise tier's
+graceful-degradation rule.
 
 The async surface (:meth:`run_async`, :meth:`stream`) is cooperative
 feeding over the same synchronous core: backlog feeding yields on
@@ -129,9 +129,6 @@ class Gateway:
                 cache_dir=(
                     str(Path(cache_dir) / f"shard-{i}") if cache_dir else None
                 ),
-                # Admission is the one bound: the shard's priority queue
-                # can hold (and so orders) everything the gateway admits.
-                capacity=capacity,
                 start_method=start_method,
                 service_factory=service_factory,
             )

@@ -1,7 +1,7 @@
 """A gateway shard: one node-local service pumped by a background thread.
 
 Each shard owns a complete :class:`~repro.serve.service.SimulationService`
-— bounded queue, fingerprint-affinity batcher, worker pool, circuit
+— priority queue, fingerprint-affinity batcher, worker pool, circuit
 breaker — plus a pump thread that drives it incrementally via the
 service's :meth:`~repro.serve.service.SimulationService.step` API.  The
 pump feeds admitted specs from the shard's inbox, forwards every fresh
@@ -24,7 +24,6 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-from ..errors import QueueFullError
 from ..serve.jobs import JobResult, JobSpec
 from ..serve.service import SimulationService
 
@@ -55,7 +54,6 @@ class GatewayShard:
         shard_id: int,
         outbox: "queue.Queue[ShardEvent]",
         *,
-        capacity: int,
         n_workers: int = 1,
         cache_dir: str | None = None,
         start_method: str | None = None,
@@ -69,7 +67,6 @@ class GatewayShard:
         self.service = factory(
             n_workers,
             cache_dir=cache_dir,
-            capacity=capacity,
             start_method=start_method,
         )
         self.service.on_progress = self._on_progress
@@ -169,19 +166,14 @@ class GatewayShard:
             self._forward(self.service.step())
 
     def _feed(self) -> None:
-        """Move inbox specs into the service until it pushes back (only a
-        stand-in that bounds itself below the gateway's admission does)."""
+        """Move every inbox spec into the service (admission already
+        bounded them)."""
         while True:
             with self._lock:
                 if not self._inbox:
                     return
                 spec, front = self._inbox.popleft()
-            try:
-                self.service.submit(spec, front=front)
-            except QueueFullError:
-                with self._lock:
-                    self._inbox.appendleft((spec, front))
-                return
+            self.service.submit(spec, front=front)
 
     def _forward(self, results: list[JobResult]) -> None:
         for result in results:

@@ -24,7 +24,6 @@ import hashlib
 import time
 from collections import deque
 
-from ..errors import QueueFullError
 from ..serve.jobs import JobResult, JobSpec
 from ..serve.metrics import MetricsRegistry
 
@@ -46,12 +45,10 @@ class SyntheticService:
         n_workers: int = 2,
         *,
         cache_dir: str | None = None,
-        capacity: int = 64,
         start_method: str | None = None,
     ) -> None:
         del cache_dir, start_method  # protocol compatibility only
         self.n_workers = n_workers
-        self.capacity = capacity
         self.on_progress = None
         self.metrics = MetricsRegistry("synthetic")
         for name in (
@@ -70,11 +67,6 @@ class SyntheticService:
     # -- Shard-service protocol ----------------------------------------------
 
     def submit(self, spec: JobSpec, *, front: bool = False) -> str:
-        if len(self._queue) >= self.capacity:
-            raise QueueFullError(
-                f"synthetic service at capacity ({self.capacity})",
-                retry_after_s=0.05,
-            )
         if front:
             self._queue.appendleft(spec)
         else:

@@ -10,8 +10,8 @@ Layers (each its own module):
 
 * :mod:`~repro.serve.jobs` — :class:`JobSpec`/:class:`JobResult`, the
   JSON-round-tripping request/response model;
-* :mod:`~repro.serve.queue` — bounded priority queue with typed
-  backpressure (:class:`~repro.errors.QueueFullError` + retry-after);
+* :mod:`~repro.serve.queue` — priority queue with front-of-class
+  recovery requeue (unbounded: the gateway's admission is the bound);
 * :mod:`~repro.serve.cache` — fingerprint-keyed on-disk library cache
   (build once, load everywhere);
 * :mod:`~repro.serve.batching` — fingerprint-affinity dispatch and
@@ -21,7 +21,7 @@ Layers (each its own module):
 * :mod:`~repro.serve.metrics` — counters/gauges/latency histograms
   exported as JSON and projectable onto :class:`repro.profiling.Profile`;
 * :mod:`~repro.serve.service` — the orchestrating loop plus the file
-  spool behind ``repro-sim serve/submit/status``.
+  spool behind ``repro-sim suite submit`` and ``gateway serve --spool``.
 
 Invariant: a job executed through the service — through queueing,
 batching, caching, even a worker crash and rerun — produces bit-identical
@@ -46,7 +46,6 @@ from .service import (
     SimulationService,
     read_spool_pending,
     spool_dirs,
-    spool_status,
     submit_to_spool,
     write_spool_result,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "SimulationService",
     "read_spool_pending",
     "spool_dirs",
-    "spool_status",
     "submit_to_spool",
     "write_spool_result",
 ]

@@ -43,6 +43,21 @@ _SHARED = {"model", "fidelity", "mode", "status", "library_source",
 
 _FIDELITIES = ("tiny", "default")
 
+#: Scalar fields and what they must hold; a ``bool`` is never an integer
+#: here.  A wrong type is a :class:`JobError` at the seam, not a
+#: ``TypeError`` deep in a shard's scheduling loop.
+_SCALARS = {
+    **dict.fromkeys(("job_id", "model"), ((str,), "a string")),
+    **dict.fromkeys(
+        ("priority", "library_seed", "fault_crash_attempts"),
+        ((int,), "an integer"),
+    ),
+    **dict.fromkeys(
+        ("deadline_s", "library_temperature", "submitted_at"),
+        ((int, float, type(None)), "a number or null"),
+    ),
+}
+
 #: Fields that define a job's *physics identity* — everything a worker
 #: consults to produce the payload, and nothing it doesn't.  Job IDs,
 #: priorities, deadlines, and scenario provenance are scheduling metadata:
@@ -117,6 +132,13 @@ class JobSpec:
     scenario_fingerprint: str = ""
 
     def __post_init__(self) -> None:
+        for name, (types, what) in _SCALARS.items():
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, types):
+                raise JobError(
+                    f"job {self.job_id}: {name} must be {what}, "
+                    f"got {value!r}"
+                )
         if self.fidelity not in _FIDELITIES:
             raise JobError(
                 f"job {self.job_id}: unknown fidelity {self.fidelity!r} "
@@ -188,9 +210,20 @@ class JobSpec:
         try:
             data = compact(data)
             data["settings"] = compact(data.get("settings", {}))
-            return cls(**data)
+            spec = cls(**data)
         except TypeError as exc:
             raise JobError(f"malformed job spec: {exc}") from exc
+        try:
+            # A wrongly typed setting is malformed input; a well-typed but
+            # invalid one is the job's own failure, reported by a worker.
+            Settings(**spec.settings)
+        except (TypeError, ValueError) as exc:
+            raise JobError(
+                f"job {spec.job_id}: malformed settings: {exc}"
+            ) from exc
+        except ReproError:
+            pass
+        return spec
 
     @classmethod
     def from_json(cls, text: str) -> "JobSpec":

@@ -1,9 +1,10 @@
 """The service loop: queue -> batcher -> pool, with metrics and recovery.
 
 :class:`SimulationService` ties the subsystem together.  Jobs enter through
-:meth:`submit` (bounded, typed backpressure), stage into the
-fingerprint-affinity :class:`~repro.serve.batching.Batcher`, and dispatch
-to idle :class:`~repro.serve.pool.WorkerPool` workers.  Completions,
+:meth:`submit` (unbounded: the gateway's admission is the one capacity
+above it), stage into the fingerprint-affinity
+:class:`~repro.serve.batching.Batcher`, and dispatch to idle
+:class:`~repro.serve.pool.WorkerPool` workers.  Completions,
 job-level errors, and worker crashes come back as pool events; crashes
 requeue the in-flight job at the front of its priority class under the
 service's :class:`~repro.resilience.recovery.RetryPolicy` — the same
@@ -14,40 +15,32 @@ function of its spec, so scheduling order, batching decisions, and crash
 reruns are all invisible in the payload (the bit-identical service
 guarantee, tested end to end).
 
-The module also provides the file spool used by the ``repro-sim
-serve/submit/status`` subcommands: ``pending/`` holds submitted specs,
-``done/``/``failed/`` hold results, ``metrics.json`` the last service
-export — a filesystem contract simple enough to drive from a shell.
+The module also provides the file spool behind ``repro-sim suite
+submit`` and ``repro-sim gateway serve --spool``: ``pending/`` holds
+submitted specs, ``done/``/``failed/`` hold results — a filesystem
+contract simple enough to drive from a shell.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from collections import deque
 from pathlib import Path
 
 from ..durable import atomic_write_text, quarantine
-from ..errors import (
-    JobError,
-    PoisonedJobError,
-    QueueFullError,
-    ServeError,
-)
+from ..errors import JobError, PoisonedJobError, ServeError
 from ..resilience.recovery import RetryPolicy
 from ..supervise.deadline import Deadline
 from .batching import Batcher
 from .jobs import JobResult, JobSpec
 from .metrics import MetricsRegistry
 from .pool import PoolEvent, WorkerPool
-from .queue import JobQueue, QueuedJob, RetryAfterModel
+from .queue import JobQueue, QueuedJob
 
 __all__ = [
     "SimulationService",
     "atomic_write_text",
     "read_spool_pending",
     "spool_dirs",
-    "spool_status",
     "submit_to_spool",
     "write_spool_result",
 ]
@@ -63,13 +56,12 @@ class SimulationService:
         n_workers: int = 2,
         *,
         cache_dir: str | None = None,
-        capacity: int = 64,
         retry_policy: RetryPolicy | None = None,
         metrics: MetricsRegistry | None = None,
         start_method: str | None = None,
         drain_deadline_s: float | None = None,
     ) -> None:
-        self.queue = JobQueue(capacity)
+        self.queue = JobQueue()
         self.batcher = Batcher()
         self.pool = WorkerPool(
             n_workers, cache_dir=cache_dir, start_method=start_method
@@ -87,7 +79,6 @@ class SimulationService:
         self._order: dict[str, None] = {}
         self._wait_s: dict[str, float] = {}
         self._started = False
-        self._retry_after = RetryAfterModel()
         #: Results recorded since the last :meth:`take_fresh_results` —
         #: the incremental completion feed a long-running driver (the
         #: gateway shard pump) consumes between :meth:`step` calls.
@@ -101,16 +92,13 @@ class SimulationService:
         for name in (
             "jobs_submitted", "jobs_completed", "jobs_failed",
             "jobs_expired", "jobs_requeued", "jobs_poisoned",
-            "worker_crashes", "queue_rejections", "library_builds",
+            "worker_crashes", "library_builds",
             "library_disk_hits", "library_memory_hits",
         ):
             self.metrics.counter(name)
         for name in ("queue_depth", "in_flight", "workers_alive",
                      "cache_hit_rate", "circuits_open"):
             self.metrics.gauge(name)
-        self.metrics.gauge("retry_after_seconds").set(
-            self.queue.retry_after_hint
-        )
         self.metrics.info("circuit_breaker").set(self.pool.breaker.as_dict())
         for name in ("queue_wait_seconds", "service_seconds",
                      "build_seconds", "dispatch_overhead_seconds"):
@@ -119,11 +107,11 @@ class SimulationService:
     # -- Submission ----------------------------------------------------------
 
     def submit(self, spec: JobSpec, *, front: bool = False) -> str:
-        """Admit one job; raises :class:`QueueFullError` at capacity.
+        """Enqueue one job; raises :class:`JobError` on a duplicate id.
 
-        ``front=True`` is the recovery path (capacity-exempt, enters ahead
-        of its priority class): the gateway uses it to requeue jobs pulled
-        back from an evicted shard, mirroring the pool's own crash requeue.
+        ``front=True`` is the recovery path (enters ahead of its priority
+        class): the gateway uses it to requeue jobs pulled back from an
+        evicted shard, mirroring the pool's own crash requeue.
         """
         if spec.submitted_at is None:
             import dataclasses
@@ -131,11 +119,7 @@ class SimulationService:
             spec = dataclasses.replace(spec, submitted_at=time.time())
         if spec.job_id in self.results or spec.job_id in self._order:
             raise JobError(f"duplicate job id {spec.job_id!r}")
-        try:
-            self.queue.put(spec, front=front)
-        except QueueFullError:
-            self.metrics.counter("queue_rejections").inc()
-            raise
+        self.queue.put(spec, front=front)
         self._order[spec.job_id] = None
         self.metrics.counter("jobs_submitted").inc()
         self.metrics.gauge("queue_depth").set(len(self.queue))
@@ -161,31 +145,26 @@ class SimulationService:
     # -- Main loop -----------------------------------------------------------
 
     def run(self, specs: list[JobSpec] | None = None) -> list[JobResult]:
-        """Feed ``specs`` (respecting queue capacity) and drain everything.
+        """Submit ``specs`` and drain everything.
 
         Returns results for *all* jobs this service has completed, in
         submission order — the drain contract: every submitted job appears
         exactly once, as done, failed, or expired.
         """
-        backlog = deque(specs or [])
+        for spec in specs or []:
+            self.submit(spec)
         deadline = (
             Deadline(self.drain_deadline_s, label="serve drain")
             if self.drain_deadline_s is not None
             else None
         )
         self.start()
-        while backlog or self.outstanding():
+        while self.outstanding():
             if deadline is not None:
                 deadline.check(
                     f"draining {len(self.queue)} queued / "
                     f"{self.pool.in_flight()} in-flight job(s)"
                 )
-            while backlog:
-                try:
-                    self.submit(backlog[0])
-                except QueueFullError:
-                    break
-                backlog.popleft()
             self._tick()
         self._fresh.clear()
         return [self.results[job_id] for job_id in self._order
@@ -303,12 +282,6 @@ class SimulationService:
             if source_counter:
                 self.metrics.counter(source_counter).inc()
             self._update_cache_hit_rate()
-            self.queue.retry_after_hint = self._retry_after.note(
-                result.service_seconds, self.pool.n_workers
-            )
-            self.metrics.gauge("retry_after_seconds").set(
-                self.queue.retry_after_hint
-            )
         elif event.kind == "error":
             job = event.job
             self._record(
@@ -470,48 +443,3 @@ def write_spool_result(root: str | Path, result: JobResult) -> Path:
         pending.unlink()
     return path
 
-
-def spool_status(root: str | Path) -> dict:
-    """Counts, recent results, and the last metrics export for a spool."""
-    root = Path(root)
-    dirs = spool_dirs(root)
-    counts = {
-        name: len(list(path.glob("*.json"))) if path.is_dir() else 0
-        for name, path in dirs.items()
-    }
-    results = []
-    if dirs["done"].is_dir():
-        for path in sorted(dirs["done"].glob("*.json")):
-            result = JobResult.from_json(path.read_text())
-            results.append(
-                {
-                    "job_id": result.job_id,
-                    "k_effective": result.k_effective,
-                    "k_std_err": result.k_std_err,
-                    "n_batches": result.n_batches,
-                    "worker_id": result.worker_id,
-                    "attempts": result.attempts,
-                    "library_source": result.library_source,
-                    # Scenario provenance (PR 6): which case of which
-                    # suite, and the document fingerprint it compiled
-                    # from.  Empty strings for ad-hoc jobs.
-                    "case_id": result.case_id,
-                    "suite_id": result.suite_id,
-                    "scenario_fingerprint": result.scenario_fingerprint,
-                }
-            )
-    status: dict = {"root": str(root), "counts": counts, "results": results}
-    metrics_path = root / "metrics.json"
-    if metrics_path.exists():
-        status["metrics"] = json.loads(metrics_path.read_text())
-        # Surface the adaptive backpressure hint (what a rejected client
-        # would be told to wait) at the top level, where shell callers
-        # expect it — the nested metrics document keeps the raw gauge.
-        try:
-            status["retry_after_s"] = (
-                status["metrics"]["metrics"]["metrics"]
-                ["retry_after_seconds"]["value"]
-            )
-        except (KeyError, TypeError):
-            pass
-    return status

@@ -1,10 +1,11 @@
-"""The gateway CLI verbs (serve/submit/status) end to end, via main(argv)."""
+"""The gateway CLI verbs (serve/status) end to end, via main(argv)."""
 
 import json
+from pathlib import Path
 
 from repro.cli import main as sim_main
 from repro.serve.jobs import JobSpec
-from repro.serve.service import spool_status, submit_to_spool
+from repro.serve.service import submit_to_spool
 
 TINY = {"n_particles": 24, "n_inactive": 0, "n_active": 2,
         "mode": "event", "pincell": True}
@@ -20,11 +21,13 @@ def tiny_spec(job_id, seed=5):
 
 
 class TestGatewaySubmit:
+    """One-shot submission: ``gateway serve --jobs FILE``."""
+
     def test_one_shot_json_document(self, tmp_path, capsys):
         jobs = write_jobs(tmp_path / "jobs.jsonl", [
             tiny_spec("g1", seed=5), tiny_spec("g2", seed=5),
         ])
-        rc = sim_main(["gateway", "submit", "--jobs", jobs,
+        rc = sim_main(["gateway", "serve", "--jobs", jobs,
                        "--shards", "1", "--cache", str(tmp_path / "libs"),
                        "--deadline-s", "110", "--json"])
         assert rc == 0
@@ -44,11 +47,11 @@ class TestGatewaySubmit:
                  "--result-cache", str(tmp_path / "rc"),
                  "--deadline-s", "110", "--json"]
         jobs1 = write_jobs(tmp_path / "j1.jsonl", [tiny_spec("cold")])
-        assert sim_main(["gateway", "submit", "--jobs", jobs1, *flags]) == 0
+        assert sim_main(["gateway", "serve", "--jobs", jobs1, *flags]) == 0
         cold = json.loads(capsys.readouterr().out)
 
         jobs2 = write_jobs(tmp_path / "j2.jsonl", [tiny_spec("warm")])
-        assert sim_main(["gateway", "submit", "--jobs", jobs2, *flags]) == 0
+        assert sim_main(["gateway", "serve", "--jobs", jobs2, *flags]) == 0
         warm = json.loads(capsys.readouterr().out)
 
         assert warm["gateway"]["gateway"]["counters"]["cache_hits"] == 1
@@ -66,7 +69,7 @@ class TestGatewaySubmit:
     def test_empty_jobs_file_fails(self, tmp_path, capsys):
         jobs = tmp_path / "empty.jsonl"
         jobs.write_text("")
-        rc = sim_main(["gateway", "submit", "--jobs", str(jobs)])
+        rc = sim_main(["gateway", "serve", "--jobs", str(jobs)])
         assert rc == 1
         assert "no jobs" in capsys.readouterr().err
 
@@ -83,8 +86,9 @@ class TestGatewayServeAndStatus:
         out = capsys.readouterr().out
         assert "2 jobs over 1 shard(s)" in out
 
-        status = spool_status(spool)
-        assert status["counts"] == {"pending": 0, "done": 2, "failed": 0}
+        counts = {name: len(list((Path(spool) / name).glob("*.json")))
+                  for name in ("pending", "done", "failed")}
+        assert counts == {"pending": 0, "done": 2, "failed": 0}
 
         rc = sim_main(["gateway", "status", "--spool", spool])
         assert rc == 0

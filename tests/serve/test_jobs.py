@@ -57,6 +57,53 @@ class TestJobSpec:
         with pytest.raises(JobError, match="fidelity"):
             JobSpec(fidelity="huge")
 
+    @pytest.mark.parametrize("field, value, what", [
+        ("job_id", 5, "a string"),
+        ("model", None, "a string"),
+        ("priority", "high", "an integer"),
+        ("priority", True, "an integer"),
+        ("priority", 1.0, "an integer"),
+        ("library_seed", "7", "an integer"),
+        ("fault_crash_attempts", False, "an integer"),
+        ("deadline_s", "soon", "a number or null"),
+        ("deadline_s", True, "a number or null"),
+        ("library_temperature", [600.0], "a number or null"),
+        ("submitted_at", "now", "a number or null"),
+    ])
+    def test_wrong_typed_scalar_rejected(self, field, value, what):
+        """A wrong type fails at the seam naming the field, not as a
+        ``TypeError`` inside a shard's queue or deadline check."""
+        doc = {"job_id": "typed", field: value}
+        with pytest.raises(JobError, match=f"{field} must be {what}"):
+            JobSpec.from_dict(doc)
+        with pytest.raises(JobError, match=f"{field} must be {what}"):
+            JobSpec(**doc)
+
+    @pytest.mark.parametrize("field, value", [
+        ("priority", 3), ("deadline_s", 2), ("deadline_s", 2.5),
+        ("deadline_s", None), ("library_temperature", 600),
+        ("submitted_at", 1.5),
+    ])
+    def test_well_typed_scalars_accepted(self, field, value):
+        assert getattr(JobSpec(**{field: value}), field) == value
+
+    @pytest.mark.parametrize("settings", [
+        {"n_particles": "9", "n_active": 1},
+        {"boron_ppm": "600"},
+        {"fuel_overrides": [["U235", "rich"]]},
+    ])
+    def test_wrong_typed_setting_rejected_by_from_dict(self, settings):
+        with pytest.raises(JobError, match="malformed settings"):
+            JobSpec.from_dict({"job_id": "s", "settings": settings})
+
+    def test_invalid_but_well_typed_settings_still_decode(self):
+        """Semantic errors are the job's own failure, reported by the
+        worker that runs it; decoding lets them through."""
+        spec = JobSpec.from_dict({"job_id": "d", "settings": {
+            "mode": "delta", "tally_power": True, "n_particles": 8,
+        }})
+        assert spec.settings["mode"] == "delta"
+
     def test_invalid_json_rejected(self):
         with pytest.raises(JobError, match="not valid JSON"):
             JobSpec.from_json("{nope")
@@ -226,7 +273,14 @@ class TestToDictIsAsdict:
         doc = x.to_dict()
         assert doc == before
         assert list(doc) == list(before)  # field order too
-        assert type(x).from_dict(copy.copy(doc)).to_dict() == before
+        try:
+            again = type(x).from_dict(copy.copy(doc))
+        except JobError as exc:
+            # The one refusal: settings a trial ``Settings`` cannot even
+            # type-check (drawn values are arbitrary scalars and rows).
+            assert "malformed settings" in str(exc)
+        else:
+            assert again.to_dict() == before
         _scribble(doc)
         assert dataclasses.asdict(x) == before
 

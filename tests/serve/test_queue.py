@@ -1,10 +1,12 @@
-"""JobQueue: priority order, FIFO fairness, bounded backpressure."""
+"""JobQueue: priority order, FIFO fairness, front-of-class requeue."""
 
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import QueueFullError, ServeError
+from repro.errors import ServeError
 from repro.serve import JobQueue, JobSpec
 
 
@@ -14,7 +16,7 @@ def spec(job_id, priority=0):
 
 class TestOrdering:
     def test_higher_priority_dequeues_first(self):
-        q = JobQueue(capacity=8)
+        q = JobQueue()
         q.put(spec("low", priority=0))
         q.put(spec("high", priority=5))
         q.put(spec("mid", priority=2))
@@ -22,14 +24,14 @@ class TestOrdering:
         assert order == ["high", "mid", "low"]
 
     def test_fifo_within_a_priority(self):
-        q = JobQueue(capacity=8)
+        q = JobQueue()
         for i in range(5):
             q.put(spec(f"j{i}", priority=1))
         order = [q.get(timeout=0).spec.job_id for _ in range(5)]
         assert order == [f"j{i}" for i in range(5)]
 
     def test_requeue_jumps_to_front_of_its_priority(self):
-        q = JobQueue(capacity=8)
+        q = JobQueue()
         q.put(spec("first", priority=1))
         q.put(spec("second", priority=1))
         q.put(spec("urgent", priority=9))
@@ -39,37 +41,33 @@ class TestOrdering:
         assert order == [("urgent", 1), ("recovered", 2),
                          ("first", 1), ("second", 1)]
 
-
-class TestBackpressure:
-    def test_full_queue_rejects_with_typed_retry_after(self):
-        q = JobQueue(capacity=2)
-        q.retry_after_hint = 2.5
-        q.put(spec("a"))
-        q.put(spec("b"))
-        with pytest.raises(QueueFullError) as err:
-            q.put(spec("c"))
-        assert err.value.retry_after_s == 2.5
-        assert "retry" in str(err.value)
-        assert len(q) == 2  # the rejected job was not partially admitted
-
-    def test_recovery_requeue_is_exempt_from_capacity(self):
-        q = JobQueue(capacity=1)
-        q.put(spec("a"))
-        q.put(spec("recovered"), attempt=2, front=True)  # must not raise
-        assert len(q) == 2
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ServeError):
-            JobQueue(capacity=0)
+    @given(puts=st.lists(
+        st.tuples(st.integers(-3, 3), st.booleans()), max_size=40
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_dequeue_order_is_the_sorted_model(self, puts):
+        """Any interleaving of normal and front puts dequeues as sorted
+        by (-priority, front first and latest-first among them, then
+        submission order)."""
+        q = JobQueue()
+        model = []
+        for i, (priority, front) in enumerate(puts):
+            q.put(spec(f"j{i}", priority=priority), front=front)
+            model.append(
+                ((-priority, 0, -i) if front else (-priority, 1, i), f"j{i}")
+            )
+        order = [q.get(timeout=0).spec.job_id for _ in puts]
+        assert order == [job_id for _, job_id in sorted(model)]
+        assert q.get(timeout=0) is None
 
 
 class TestLifecycle:
     def test_get_timeout_returns_none(self):
-        q = JobQueue(capacity=2)
+        q = JobQueue()
         assert q.get(timeout=0.01) is None
 
     def test_closed_queue_rejects_put_but_drains(self):
-        q = JobQueue(capacity=4)
+        q = JobQueue()
         q.put(spec("a"))
         q.close()
         with pytest.raises(ServeError, match="closed"):
@@ -78,7 +76,7 @@ class TestLifecycle:
         assert q.get(timeout=0) is None  # closed and empty: no waiting
 
     def test_get_blocks_until_put_from_another_thread(self):
-        q = JobQueue(capacity=2)
+        q = JobQueue()
         got = []
 
         def consumer():
@@ -92,7 +90,7 @@ class TestLifecycle:
         assert got[0].spec.job_id == "late"
 
     def test_enqueued_at_is_stamped(self):
-        q = JobQueue(capacity=2)
+        q = JobQueue()
         q.put(spec("t"))
         item = q.get(timeout=0)
         assert item.enqueued_at > 0

@@ -5,7 +5,8 @@
   the same settings run directly through ``Simulation``.
 * Library cache: 8 jobs sharing one fingerprint build the library exactly
   once; the hit rate is observable in the metrics JSON.
-* Backpressure: a full queue rejects with a typed retry-after error.
+* Submission: a duplicate job id is a typed rejection (the one capacity
+  bound is the gateway's admission, not the service's).
 * Drain: shutdown loses no jobs and duplicates none.
 """
 
@@ -13,7 +14,7 @@ import json
 
 import pytest
 
-from repro.errors import JobError, QueueFullError
+from repro.errors import JobError
 from repro.resilience.recovery import RetryPolicy
 from repro.serve import JobSpec, SimulationService
 from repro.transport import Settings, Simulation
@@ -48,7 +49,7 @@ def served(tmp_path_factory):
             )
         )
     service = SimulationService(
-        n_workers=4, cache_dir=str(cache_dir), capacity=16
+        n_workers=4, cache_dir=str(cache_dir)
     )
     results = service.run(specs)
     service.shutdown()
@@ -154,19 +155,8 @@ class TestDrain:
 
 
 class TestBackpressure:
-    def test_full_queue_raises_typed_retry_after(self):
-        service = SimulationService(n_workers=1, capacity=2)
-        service.submit(JobSpec(settings=job_settings(1)))
-        service.submit(JobSpec(settings=job_settings(1)))
-        with pytest.raises(QueueFullError) as err:
-            service.submit(JobSpec(settings=job_settings(1)))
-        assert err.value.retry_after_s > 0
-        assert service.metrics.counter("queue_rejections").value == 1
-        assert service.metrics.counter("jobs_submitted").value == 2
-        service.shutdown()
-
     def test_duplicate_job_id_rejected(self):
-        service = SimulationService(n_workers=1, capacity=4)
+        service = SimulationService(n_workers=1)
         service.submit(JobSpec(job_id="dup", settings=job_settings(1)))
         with pytest.raises(JobError, match="duplicate"):
             service.submit(JobSpec(job_id="dup", settings=job_settings(1)))
@@ -194,7 +184,7 @@ class TestDrainDeadline:
 class TestFailurePaths:
     def test_retry_budget_exhaustion_fails_the_job(self):
         service = SimulationService(
-            n_workers=1, capacity=4,
+            n_workers=1,
             retry_policy=RetryPolicy(max_attempts=2),
         )
         spec = JobSpec(
@@ -210,7 +200,7 @@ class TestFailurePaths:
         assert service.metrics.counter("jobs_failed").value == 1
 
     def test_invalid_settings_fail_in_worker_not_service(self):
-        service = SimulationService(n_workers=1, capacity=4)
+        service = SimulationService(n_workers=1)
         spec = JobSpec(
             job_id="badjob",
             settings={"mode": "delta", "tally_power": True,
@@ -225,7 +215,7 @@ class TestFailurePaths:
     def test_expired_job_never_dispatches(self):
         import time
 
-        service = SimulationService(n_workers=1, capacity=4)
+        service = SimulationService(n_workers=1)
         spec = JobSpec(
             job_id="late", settings=job_settings(1),
             deadline_s=0.5, submitted_at=time.time() - 10.0,

@@ -40,37 +40,50 @@ class TestArgumentParsing:
         assert rs.checkpoint_dir == "ck"
 
     def test_submit_flags(self):
+        """``suite submit`` is the one verb that spools jobs."""
         args = build_parser().parse_args(
-            ["submit", "--spool", "sp", "--priority", "4",
-             "--deadline", "30", "--job-id", "j1", "--pincell"]
+            ["suite", "submit", "hm-tiny-sweep", "--spool", "sp"]
         )
-        assert args.command == "submit"
+        assert (args.command, args.suite_command) == ("suite", "submit")
+        assert args.source == "hm-tiny-sweep"
         assert args.spool == "sp"
-        assert args.priority == 4
-        assert args.deadline == 30.0
-        assert args.job_id == "j1"
-        assert args.pincell is True
 
     def test_serve_flags(self):
         args = build_parser().parse_args(
-            ["serve", "--spool", "sp", "--workers", "4",
-             "--cache", "xs/", "--capacity", "8", "--max-attempts", "2"]
+            ["gateway", "serve", "--spool", "sp", "--shards", "3",
+             "--workers-per-shard", "4", "--cache", "xs/",
+             "--capacity", "8"]
         )
-        assert args.command == "serve"
-        assert (args.workers, args.capacity, args.max_attempts) == (4, 8, 2)
+        assert (args.command, args.gateway_command) == ("gateway", "serve")
+        assert (args.shards, args.workers_per_shard, args.capacity) == (
+            3, 4, 8)
         assert args.cache == "xs/"
 
     def test_serve_requires_spool_or_jobs(self, capsys):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve"])
+            build_parser().parse_args(["gateway", "serve"])
         capsys.readouterr()
 
     def test_serve_spool_and_jobs_are_exclusive(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["serve", "--spool", "a", "--jobs", "b"]
+                ["gateway", "serve", "--spool", "a", "--jobs", "b"]
             )
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["submit", "--spool", "sp"],
+        ["serve", "--spool", "sp"],
+        ["status", "--spool", "sp"],
+        ["gateway", "submit", "--jobs", "-"],
+    ], ids=["submit", "serve", "status", "gateway-submit"])
+    def test_retired_service_verbs_are_usage_errors(self, argv, capsys):
+        """The gateway is the one way to serve jobs: the old service
+        verbs and the ``gateway submit`` alias exit 2 and run nothing."""
+        with pytest.raises(SystemExit) as err:
+            sim_main(argv)
+        assert err.value.code == 2
+        assert "usage: repro-sim" in capsys.readouterr().err
 
     def test_supervise_flags(self):
         args = build_parser().parse_args(
@@ -84,13 +97,15 @@ class TestArgumentParsing:
 
     def test_serve_drain_deadline_flag(self):
         args = build_parser().parse_args(
-            ["serve", "--jobs", "j.jsonl", "--drain-deadline-s", "30"]
+            ["gateway", "serve", "--jobs", "j.jsonl", "--deadline-s", "30"]
         )
-        assert args.drain_deadline_s == 30.0
+        assert args.deadline_s == 30.0
 
     def test_status_flags(self):
-        args = build_parser().parse_args(["status", "--spool", "sp", "--json"])
-        assert args.command == "status"
+        args = build_parser().parse_args(
+            ["gateway", "status", "--spool", "sp", "--json"]
+        )
+        assert (args.command, args.gateway_command) == ("gateway", "status")
         assert args.json_output is True
 
     def test_legacy_bare_form_is_a_usage_error(self, capsys):

@@ -17,7 +17,7 @@ from repro.cli import _backend_name
 from repro.cli import main as sim_main
 from repro.errors import ExecutionError, ScenarioError
 from repro.scenarios import validate_scenario
-from repro.serve import JobSpec
+from repro.serve import JobSpec, SimulationService
 from repro.transport import Settings, available_backends
 
 RETIRED = "numba-event"
@@ -52,16 +52,32 @@ def test_scenario_document_gets_a_run_backend_path_error():
     assert error.endswith("available: delta, event, history")
 
 
-@pytest.mark.parametrize(
-    "verb",
-    [
-        ["serve", "--workers", "1"],
-        ["gateway", "submit", "--shards", "1", "--deadline-s", "110"],
-    ],
-    ids=["serve", "gateway"],
-)
+def _serve_in_process(tmp_path, jobs):
+    """The serve layer as in-process callers use it."""
+    spec = JobSpec.from_json(jobs.read_text())
+    service = SimulationService(n_workers=1, cache_dir=str(tmp_path / "libs"))
+    try:
+        (result,) = service.run([spec])
+    finally:
+        service.shutdown()
+    counts = {k: service.metrics.counter(k).value
+              for k in ("jobs_failed", "worker_crashes", "jobs_requeued")}
+    return result.to_dict(), counts
+
+
+def _serve_through_gateway(tmp_path, jobs, capsys):
+    rc = sim_main(["gateway", "serve", "--shards", "1", "--deadline-s", "110",
+                   "--jobs", str(jobs), "--cache", str(tmp_path / "libs"),
+                   "--json"])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().out)
+    (result,) = doc["results"]
+    return result, doc["gateway"]["aggregate"]
+
+
+@pytest.mark.parametrize("door", ["serve", "gateway"])
 def test_replayed_job_fails_once_without_crashing_a_worker(
-    tmp_path, capsys, verb
+    tmp_path, capsys, door
 ):
     """What a journal, spool or suite file written while the name was
     registered replays into: a failed job, not a crash-requeue loop."""
@@ -71,22 +87,13 @@ def test_replayed_job_fails_once_without_crashing_a_worker(
         "mode": RETIRED, "pincell": True,
     })
     jobs.write_text(spec.to_json() + "\n")
-    rc = sim_main([*verb, "--jobs", str(jobs),
-                   "--cache", str(tmp_path / "libs"), "--json"])
-    assert rc == 1
-    doc = json.loads(capsys.readouterr().out)
-    (result,) = doc["results"]
+    result, counts = (
+        _serve_in_process(tmp_path, jobs) if door == "serve"
+        else _serve_through_gateway(tmp_path, jobs, capsys)
+    )
     assert result["status"] == "failed"
     assert result["attempts"] == 1
     assert result["error"].startswith("ExecutionError: ")
-    if verb[0] == "serve":
-        metrics = doc["metrics"]["metrics"]
-        counts = {
-            k: metrics[k]["value"]
-            for k in ("jobs_failed", "worker_crashes", "jobs_requeued")
-        }
-    else:
-        counts = doc["gateway"]["aggregate"]
     assert counts["jobs_failed"] == 1
     assert counts["worker_crashes"] == 0
     assert counts["jobs_requeued"] == 0
