@@ -338,17 +338,13 @@ class ChaosRunner:
             raise ChaosError(f"{label}: no disk entries to damage")
         victim = entries[entry % len(entries)]
         data = victim.read_bytes()
+        half = len(data) // 2
         if truncate:
-            victim.write_bytes(data[: len(data) // 2])
+            victim.write_bytes(data[:half])
         else:
-            # Flip a *significant* digit of k_effective: the JSON stays
-            # valid, so only the content digest can catch it.  (A flip at
-            # an arbitrary offset can land in the 17th digit of a float,
-            # where the decoded double — and hence the re-serialized
-            # digest input — is honestly unchanged: not corruption.)
-            flip = data.find(b'"k_effective": ') + len(b'"k_effective": ') + 2
+            # The seal covers the bytes, so any flipped byte is caught.
             victim.write_bytes(
-                data[:flip] + bytes([data[flip] ^ 0x01]) + data[flip + 1:]
+                data[:half] + bytes([data[half] ^ 0x01]) + data[half + 1:]
             )
 
         cache = ResultCache(cache_dir)

@@ -20,6 +20,7 @@ import zipfile
 import zlib
 from dataclasses import asdict
 from pathlib import Path
+from tokenize import TokenError
 from typing import BinaryIO
 
 import numpy as np
@@ -43,10 +44,12 @@ _URR_ARRAYS = ("band_edges", "cdf", "factors")
 _SAB_ARRAYS = ("e_in", "xs", "e_out", "mu")
 
 #: What numpy, zipfile, json and the constructors raise on bytes that are not
-#: a schema-2 library: a missing member, a torn archive, a field of the wrong
-#: name or shape.
+#: a schema-2 library: a missing member, a torn archive (or one claiming a
+#: compression or encryption zipfile lacks), a garbled ``.npy`` header, a
+#: field of the wrong name or shape.
 _MALFORMED = (
-    KeyError, ValueError, TypeError, EOFError, zipfile.BadZipFile, zlib.error,
+    AttributeError, KeyError, ValueError, TypeError, EOFError, OverflowError,
+    RuntimeError, TokenError, zipfile.BadZipFile, zlib.error,
 )
 
 

@@ -134,12 +134,12 @@ class JournalError(GatewayError):
 
 
 class CorruptEntryError(ReproError):
-    """A durable store entry failed its content-digest check on read.
+    """A sealed file (:func:`repro.durable.read_sealed`) failed its digest.
 
-    Raised (and caught) internally by the hardened disk tiers — the
-    gateway result cache and the serve library cache — which respond by
-    *quarantining* the entry (rename to ``*.corrupt``) and counting it,
-    never by crashing a reader.  ``path`` is the offending file.
+    The disk caches answer it by *quarantining* the entry (rename to
+    ``*.corrupt``) and counting it, never by crashing a reader; a
+    checkpoint load reports it as a :class:`CheckpointError`.  ``path`` is
+    the offending file.
     """
 
     def __init__(self, message: str, *, path: str = "") -> None:

@@ -23,13 +23,13 @@ Mechanics:
   atomically (:mod:`repro.durable`), so a cache directory survives process restarts and is
   shared by consecutive CLI invocations.  Memory eviction never deletes
   disk entries; the directory is the durable tier.
-* **Checksummed entries.**  Disk entries are format-2 envelopes —
-  ``{"format": 2, "sha256": ..., "result": {...}}`` with the digest
-  over the canonical result JSON — verified on every read.  A corrupt,
-  truncated, or tampered entry is **quarantined** (renamed to
-  ``<key>.corrupt``, counted in ``corrupt_entries`` via a typed
-  :class:`~repro.errors.CorruptEntryError`) and reported as a miss;
-  readers never crash and never serve damaged bytes.
+* **Sealed entries.**  A disk entry is the canonical JSON of the result
+  document in :mod:`repro.durable`'s sealed frame (SHA-256 over the
+  bytes), verified on every read.  A corrupt, truncated, or tampered
+  entry — or a whole one this build cannot decode, such as a result
+  field it does not know — is **quarantined** (renamed to
+  ``<key>.corrupt``, counted in ``corrupt_entries``) and reported as a
+  miss; readers never crash and never serve damaged bytes.
 * **First insert wins.**  Concurrent ``put`` of the same key (two shards
   completing identical specs in flight simultaneously) dedups under the
   lock; the stored payloads are bit-identical anyway, so either is valid.
@@ -49,19 +49,16 @@ landing's scalar fields too, since its field dict is the entry.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 from collections import OrderedDict
 from pathlib import Path
 
-from ..durable import atomic_write_text, quarantine
-from ..errors import CorruptEntryError, GatewayError
+from ..durable import quarantine, read_sealed, write_sealed
+from ..errors import CorruptEntryError, GatewayError, JobError
 from ..serve.jobs import JobResult, JobSpec, compact
 
 __all__ = ["ResultCache"]
-
-_ENTRY_FORMAT = 2
 
 
 class ResultCache:
@@ -174,7 +171,10 @@ class ResultCache:
             self._entries[key] = doc
             self.insertions += 1
             if self.directory is not None:
-                self._write_disk(key, doc)
+                write_sealed(
+                    self._disk_path(key),
+                    json.dumps(doc, sort_keys=True).encode(),
+                )
             self._evict_over_bound()
         return True
 
@@ -190,81 +190,26 @@ class ResultCache:
     def _disk_path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    @staticmethod
-    def _result_digest(result: dict) -> str:
-        return hashlib.sha256(
-            json.dumps(result, sort_keys=True).encode()
-        ).hexdigest()
-
     def _load_disk(self, key: str) -> dict | None:
-        """A verified entry's result dict, or ``None`` (miss/quarantined).
+        """A verified, decodable entry's result dict, or ``None``.
 
-        Every failure mode — unreadable file, torn JSON, a digest that
-        does not match the content, a well-formed envelope around the
-        wrong shape — funnels through the same typed
-        :class:`CorruptEntryError` path: quarantine the file, count it,
-        report a miss.  A concurrent reader racing the quarantine rename
-        simply sees the file vanish (also a miss).
+        Every failure mode — unreadable file, a failed seal, torn JSON, a
+        document :meth:`JobResult.from_dict` refuses — is the same
+        response: quarantine the file, count it, report a miss.  A
+        concurrent reader racing the quarantine rename simply sees the
+        file vanish (also a miss).
         """
         path = self._disk_path(key)
         try:
-            text = path.read_text()
+            doc = compact(json.load(read_sealed(path)))
+            JobResult.from_dict(doc)
         except FileNotFoundError:
             return None
-        except OSError:
-            self._quarantine(path)
+        except (CorruptEntryError, OSError, ValueError, JobError):
+            self.corrupt_entries += 1
+            quarantine(path)
             return None
-        try:
-            return compact(self._verify_entry(path, text))
-        except CorruptEntryError:
-            self._quarantine(path)
-            return None
-
-    def _verify_entry(self, path: Path, text: str) -> dict:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CorruptEntryError(
-                f"not valid JSON ({exc})", path=str(path)
-            ) from None
-        if not isinstance(doc, dict):
-            raise CorruptEntryError(
-                f"entry is {type(doc).__name__}, not an object",
-                path=str(path),
-            )
-        result = doc.get("result")
-        if doc.get("format") != _ENTRY_FORMAT or not isinstance(
-            result, dict
-        ):
-            raise CorruptEntryError(
-                f"unknown entry format {doc.get('format')!r}",
-                path=str(path),
-            )
-        digest = self._result_digest(result)
-        if digest != doc.get("sha256"):
-            raise CorruptEntryError(
-                f"digest mismatch: stored {doc.get('sha256')!r}, "
-                f"content {digest}",
-                path=str(path),
-            )
-        return result
-
-    def _quarantine(self, path: Path) -> None:
-        """Count a damaged entry and move it out of the ``*.json``
-        namespace."""
-        self.corrupt_entries += 1
-        quarantine(path)
-
-    def _write_disk(self, key: str, result: dict) -> None:
-        envelope = json.dumps(
-            {
-                "format": _ENTRY_FORMAT,
-                "sha256": self._result_digest(result),
-                "result": result,
-            },
-            sort_keys=True,
-        )
-        atomic_write_text(self._disk_path(key), envelope)
+        return doc
 
     # -- Observability -------------------------------------------------------
 

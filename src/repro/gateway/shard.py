@@ -15,6 +15,12 @@ quarantine primitive: stop the pump, hard-stop the pool, flush any
 results that did complete, and hand back the specs that did not — the
 gateway re-routes those to surviving shards at the front of their
 priority class, mirroring the pool's own crash requeue one level up.
+
+A service that raises never hangs its jobs.  A spec ``submit`` refuses
+resolves ``failed``; a ``step`` that raises fails every job the shard
+holds, stops the pump, and fails whatever is routed to the shard after
+— nothing is re-routed, so a poison input cannot walk from shard to
+shard.
 """
 
 from __future__ import annotations
@@ -80,17 +86,22 @@ class GatewayShard:
         self._pending: dict[str, JobSpec] = {}
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
+        #: Why the service broke (``step`` raised); ``None`` while healthy.
+        self._broken: str | None = None
 
     # -- Submission (gateway thread) -----------------------------------------
 
     def submit(self, spec: JobSpec, *, front: bool = False) -> None:
         """Hand one routed spec to this shard (non-blocking)."""
         with self._lock:
-            self._pending[spec.job_id] = spec
-            if front:
-                self._inbox.appendleft((spec, True))
-            else:
-                self._inbox.append((spec, False))
+            if self._broken is None:
+                self._pending[spec.job_id] = spec
+                if front:
+                    self._inbox.appendleft((spec, True))
+                else:
+                    self._inbox.append((spec, False))
+                return
+        self._fail([spec], self._broken)
 
     # -- Lifecycle -----------------------------------------------------------
 
@@ -110,7 +121,7 @@ class GatewayShard:
         if self._thread is not None:
             self._thread.join()
             self._thread = None
-        if graceful:
+        if graceful and self._broken is None:
             # Drain whatever the pump had already fed before stopping.
             while self.service.outstanding():
                 self._forward(self.service.step())
@@ -131,7 +142,7 @@ class GatewayShard:
             self._thread = None
         # One last non-restarting collection pass: the pool may hold
         # finished results that the pump never got to poll.
-        if self.service._started:
+        if self.service._started and self._broken is None:
             self._forward(self.service.step())
         self._forward(self.service.take_fresh_results())
         self.service.shutdown(graceful=False)
@@ -163,7 +174,16 @@ class GatewayShard:
     def _pump(self) -> None:
         while not self._stop.is_set():
             self._feed()
-            self._forward(self.service.step())
+            try:
+                results = self.service.step()
+            except Exception as exc:
+                with self._lock:
+                    self._broken = f"shard service failed: {exc!r}"
+                    held = list(self._pending.values())
+                    self._inbox.clear()
+                self._fail(held, self._broken)
+                return
+            self._forward(results)
 
     def _feed(self) -> None:
         """Move every inbox spec into the service (admission already
@@ -173,7 +193,13 @@ class GatewayShard:
                 if not self._inbox:
                     return
                 spec, front = self._inbox.popleft()
-            self.service.submit(spec, front=front)
+            try:
+                self.service.submit(spec, front=front)
+            except Exception as exc:
+                self._fail([spec], f"service refused the job: {exc!r}")
+
+    def _fail(self, specs: list[JobSpec], error: str) -> None:
+        self._forward([JobResult.failure(spec, error) for spec in specs])
 
     def _forward(self, results: list[JobResult]) -> None:
         for result in results:

@@ -16,9 +16,11 @@ On-disk format (one file per checkpoint)::
     payload          (NumPy .npz archive of the array state)
     SHA-256 digest   (32 bytes, over every preceding byte)
 
-Writes go to a temporary file in the target directory followed by
-``os.replace`` — a crash mid-write can never corrupt the latest good
-checkpoint, and :func:`latest_checkpoint` never sees partial files.
+The digest trailer is :mod:`repro.durable`'s sealed frame, published
+atomically by :func:`~repro.durable.write_sealed` — a crash mid-write can
+never corrupt the latest good checkpoint, and :func:`latest_checkpoint`
+never sees partial files.  Everything behind a verified seal is still
+parsed as untrusted bytes: any malformed body is a :class:`CheckpointError`.
 """
 
 from __future__ import annotations
@@ -26,14 +28,17 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from io import BytesIO
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
-from ..durable import atomic_write_bytes
-from ..errors import CheckpointError
+from ..durable import read_sealed, write_sealed
+from ..errors import CheckpointError, CorruptEntryError
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -54,8 +59,13 @@ CHECKPOINT_VERSION = 1
 DEFAULT_CADENCE = 5
 
 _MAGIC = b"RPRCKPT\x01"
-_DIGEST_BYTES = 32
 _SUFFIX = ".rpk"
+#: What parsing a digest-valid but malformed body can raise (JSON, struct,
+#: zip and ``.npy`` decoding, a meta of the wrong shape).
+_MALFORMED = (
+    AttributeError, KeyError, TypeError, ValueError, EOFError, OverflowError,
+    RuntimeError, TokenError, struct.error, zipfile.BadZipFile, zlib.error,
+)
 
 #: Settings fields that do not affect the physics trajectory and are
 #: therefore excluded from the compatibility fingerprint (a run checkpointed
@@ -159,16 +169,15 @@ def _pack(state: CheckpointState) -> bytes:
         }
     buf = BytesIO()
     np.savez(buf, **arrays)
-    payload = buf.getvalue()
     meta_bytes = json.dumps(meta, sort_keys=True).encode()
-    blob = _MAGIC + struct.pack("<Q", len(meta_bytes)) + meta_bytes + payload
-    return blob + hashlib.sha256(blob).digest()
+    header = _MAGIC + struct.pack("<Q", len(meta_bytes)) + meta_bytes
+    return header + buf.getvalue()
 
 
 def save_checkpoint(
     state: CheckpointState, path: str | Path, timers=None
 ) -> Path:
-    """Atomically write ``state`` to ``path`` (write temp, fsync, rename).
+    """Atomically write ``state``, sealed, to ``path``.
 
     ``timers`` may be a :class:`repro.profiling.timers.TimerRegistry`; the
     write is then recorded under the ``checkpoint_write`` routine.
@@ -179,7 +188,7 @@ def save_checkpoint(
     ctx = timers.timer("checkpoint_write") if timers is not None else nullcontext()
     with ctx:
         path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(path, _pack(state))
+        write_sealed(path, _pack(state))
     return path
 
 
@@ -188,9 +197,10 @@ def load_checkpoint(
 ) -> CheckpointState:
     """Read, verify, and unpack a checkpoint.
 
-    Raises :class:`repro.errors.CheckpointError` on a missing file, bad
-    magic, truncation, digest mismatch, unsupported version, or (when
-    ``expect_fingerprint`` is given) a settings mismatch.
+    Raises :class:`repro.errors.CheckpointError` on a missing file, a
+    failed seal (truncation or digest mismatch), bad magic, an unsupported
+    version, a malformed body, or (when ``expect_fingerprint`` is given) a
+    settings mismatch.
     """
     from contextlib import nullcontext
 
@@ -200,46 +210,47 @@ def load_checkpoint(
     )
     with ctx:
         try:
-            data = path.read_bytes()
+            body = read_sealed(path)
         except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-        min_len = len(_MAGIC) + 8 + _DIGEST_BYTES
-        if len(data) < min_len:
-            raise CheckpointError(f"checkpoint {path} is truncated")
-        if not data.startswith(_MAGIC):
-            raise CheckpointError(f"checkpoint {path} has bad magic bytes")
-        body, digest = data[:-_DIGEST_BYTES], data[-_DIGEST_BYTES:]
-        if hashlib.sha256(body).digest() != digest:
+        except CorruptEntryError as exc:
             raise CheckpointError(
-                f"checkpoint {path} failed integrity check (corrupt file)"
-            )
-        (meta_len,) = struct.unpack_from("<Q", body, len(_MAGIC))
-        meta_start = len(_MAGIC) + 8
-        if meta_start + meta_len > len(body):
-            raise CheckpointError(f"checkpoint {path} is truncated")
-        try:
-            meta = json.loads(body[meta_start : meta_start + meta_len])
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(
-                f"checkpoint {path} has unparseable metadata"
+                f"checkpoint {path} failed integrity check ({exc})"
             ) from exc
-        if meta.get("version") != CHECKPOINT_VERSION:
+        if body.read(len(_MAGIC)) != _MAGIC:
+            raise CheckpointError(f"checkpoint {path} has bad magic bytes")
+        try:
+            return _unpack(body, path, expect_fingerprint)
+        except _MALFORMED as exc:
             raise CheckpointError(
-                f"checkpoint {path} has version {meta.get('version')!r}; "
-                f"this build reads version {CHECKPOINT_VERSION}"
-            )
-        if (
-            expect_fingerprint is not None
-            and meta["fingerprint"] != expect_fingerprint
-        ):
-            raise CheckpointError(
-                "checkpoint was written under different settings "
-                f"(fingerprint {meta['fingerprint'][:12]}... != "
-                f"{expect_fingerprint[:12]}...); bit-identical resume "
-                "requires identical physics settings"
-            )
-        with np.load(BytesIO(body[meta_start + meta_len :])) as npz:
-            arrays = {k: npz[k] for k in npz.files}
+                f"checkpoint {path} is malformed: {exc!r}"
+            ) from exc
+
+
+def _unpack(body: BytesIO, path: Path, expect_fingerprint) -> CheckpointState:
+    """The state in ``body`` (positioned past the magic)."""
+    (meta_len,) = struct.unpack("<Q", body.read(8))
+    meta_bytes = body.read(meta_len)
+    if len(meta_bytes) < meta_len:
+        raise CheckpointError(f"checkpoint {path} is truncated")
+    meta = json.loads(meta_bytes)
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path} has version {meta.get('version')!r}; "
+            f"this build reads version {CHECKPOINT_VERSION}"
+        )
+    if (
+        expect_fingerprint is not None
+        and meta["fingerprint"] != expect_fingerprint
+    ):
+        raise CheckpointError(
+            "checkpoint was written under different settings "
+            f"(fingerprint {meta['fingerprint'][:12]}... != "
+            f"{expect_fingerprint[:12]}...); bit-identical resume "
+            "requires identical physics settings"
+        )
+    with np.load(body) as npz:
+        arrays = {k: npz[k] for k in npz.files}
 
     power = None
     if meta["power"] is not None:

@@ -13,20 +13,17 @@ to appear.  A stale lock (builder died mid-build) is bounded by
 ``build_timeout_s`` — waiters fall back to building locally rather than
 hanging, trading one redundant build for liveness.
 
-Reads are **digest-verified** (PR 10): the publisher writes a
-``.sha256`` sidecar over the npz bytes *before* the npz lands, and every
-load reads the file once, re-hashes those bytes against it and parses the
-same bytes.  A mismatch — bit rot, a tampered
-file, a torn write that still unpickles — is **quarantined** (npz
-renamed to ``.corrupt``, sidecar removed, counted through a typed
-:class:`~repro.errors.CorruptEntryError`) and the library is rebuilt;
-readers never crash and never compute on damaged data.  An npz without
-a sidecar cannot be verified and gets the same treatment.
+An entry is one ``.npz`` in :mod:`repro.durable`'s sealed frame (its
+SHA-256 appended), and every load reads the file once, verifies those
+bytes and parses the same bytes.  A mismatch — bit rot, a tampered file,
+a torn write that still unpickles — or a whole entry this version cannot
+parse is **quarantined** (renamed to ``.corrupt`` and counted) and the
+library is rebuilt; readers never crash and never compute on damaged
+data.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import os
 import time
@@ -40,13 +37,12 @@ from ..data.library import (
     build_library,
     library_fingerprint,
 )
-from ..durable import atomic_write_bytes, atomic_write_text, quarantine
+from ..durable import quarantine, read_sealed, write_sealed
 from ..errors import CorruptEntryError, DataError, ServeError
 
 __all__ = ["CacheOutcome", "LibraryCache"]
 
 _SUFFIX = ".npz"
-_DIGEST_SUFFIX = ".sha256"
 
 
 @dataclass(frozen=True)
@@ -78,14 +74,6 @@ class LibraryCache:
 
     def path_for(self, fingerprint: str) -> Path:
         return self.directory / f"lib-{fingerprint[:24]}{_SUFFIX}"
-
-    def digest_path_for(self, fingerprint_or_path) -> Path:
-        path = (
-            fingerprint_or_path
-            if isinstance(fingerprint_or_path, Path)
-            else self.path_for(fingerprint_or_path)
-        )
-        return path.with_suffix(_DIGEST_SUFFIX)
 
     def _lock_for(self, fingerprint: str) -> Path:
         return self.directory / f"lib-{fingerprint[:24]}.lock"
@@ -144,54 +132,15 @@ class LibraryCache:
             return None
         t0 = time.perf_counter()
         try:
-            library = load_library(io.BytesIO(self._verified_bytes(path)))
-        except (CorruptEntryError, DataError, OSError, ValueError):
-            # Past ``CorruptEntryError``: the bytes pass the digest check
-            # but are not a library this version reads (a sidecar-matching
-            # write of garbage, an older schema).  Same response:
-            # quarantine and rebuild — a cache must never be a source of
-            # failure.
-            self._quarantine(path)
+            library = load_library(read_sealed(path))
+        except (CorruptEntryError, DataError, OSError):
+            # A cache must never be a source of failure: whatever fails
+            # the seal or the parse (an older schema too) is rebuilt.
+            self.corrupt_entries += 1
+            quarantine(path)
             return None
         dt = time.perf_counter() - t0
         return library, CacheOutcome(fp, "disk-cache", load_seconds=dt)
-
-    def _verified_bytes(self, path: Path) -> bytes:
-        """The bytes of ``path``, read once and checked against its
-        ``.sha256`` sidecar — what is parsed is what was verified.  A
-        missing or wrong sidecar is typed corruption: an entry that cannot
-        be verified is never served."""
-        sidecar = self.digest_path_for(path)
-        try:
-            expected = sidecar.read_text().strip()
-        except OSError as exc:
-            raise CorruptEntryError(
-                f"no readable digest sidecar: {exc}", path=str(path)
-            ) from None
-        try:
-            data = path.read_bytes()
-        except OSError as exc:
-            raise CorruptEntryError(
-                f"cache entry unreadable: {exc}", path=str(path)
-            ) from None
-        actual = hashlib.sha256(data).hexdigest()
-        if actual != expected:
-            raise CorruptEntryError(
-                f"library cache digest mismatch: sidecar {expected[:16]}…,"
-                f" content {actual[:16]}…",
-                path=str(path),
-            )
-        return data
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a damaged entry out of the cache namespace (keeping the
-        bytes for forensics) so the caller rebuilds."""
-        self.corrupt_entries += 1
-        quarantine(path)
-        try:
-            self.digest_path_for(path).unlink()
-        except OSError:
-            pass
 
     def _build_and_publish(
         self, model: str, config: LibraryConfig, fp: str, path: Path
@@ -201,12 +150,7 @@ class LibraryCache:
         build_s = time.perf_counter() - t0
         buf = io.BytesIO()
         save_library(library, buf)
-        data = buf.getbuffer()
-        # Sidecar first (intent), npz last (commit): a crash between the
-        # two leaves a sidecar with no npz — a miss, not a lie.
-        digest = hashlib.sha256(data).hexdigest()
-        atomic_write_text(self.digest_path_for(path), digest + "\n")
-        atomic_write_bytes(path, data)
+        write_sealed(path, buf.getbuffer())
         return library, CacheOutcome(fp, "built", build_seconds=build_s)
 
     # -- Observability --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for library serialization round-trips."""
 
 import io
+import zipfile
 
 import numpy as np
 import pytest
@@ -127,7 +128,9 @@ class TestErrors:
 
     def test_malformed_bytes_fail_typed(self, small_library, path):
         """Garbage, a torn archive, a missing member, a nuclide list that
-        disagrees with the offsets: always ``DataError``, naming the file."""
+        disagrees with the offsets, a meta that is not an object, a
+        garbled ``.npy`` header, a member in a compression zipfile lacks:
+        always ``DataError``, naming the file."""
         buf = io.BytesIO()
         save_library(small_library, buf)
         whole = buf.getvalue()
@@ -137,9 +140,23 @@ class TestErrors:
         np.savez(no_xs, **{k: v for k, v in members.items() if k != "xs"})
         short = io.BytesIO()
         np.savez(short, **{**members, "offsets": members["offsets"][:-1]})
+        list_meta = io.BytesIO()
+        np.savez(list_meta, **{**members, "__meta__": np.frombuffer(
+            b"[]", dtype=np.uint8)})
+        header = b"{'descr': '|u1', 'fortran_order': False, 'shape': (3, "
+        garbled = io.BytesIO()
+        with zipfile.ZipFile(garbled, "w") as zf:  # numpy: TokenError
+            zf.writestr("__meta__.npy", b"\x93NUMPY\x01\x00\x77\x00"
+                        + header.ljust(118) + b"\n" + b"abc")
+        unknown = bytearray(no_xs.getvalue())  # zipfile: NotImplementedError
+        at = unknown.find(b"PK\x01\x02")  # each central directory record
+        while at >= 0:
+            unknown[at + 10] = 99  # its compression method
+            at = unknown.find(b"PK\x01\x02", at + 1)
         for blob in (
             b"", b"not a real npz", whole[: len(whole) // 2],
-            no_xs.getvalue(), short.getvalue(),
+            no_xs.getvalue(), short.getvalue(), list_meta.getvalue(),
+            garbled.getvalue(), bytes(unknown),
         ):
             path.write_bytes(blob)
             with pytest.raises(DataError, match="library.npz"):

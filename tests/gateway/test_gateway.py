@@ -192,6 +192,53 @@ class TestSyntheticOrchestration:
             "status"] == "dead"
 
 
+class StepRaises(SyntheticService):
+    """A service whose pump step breaks (a bug, a dead dependency)."""
+
+    def step(self):
+        raise RuntimeError("step broke")
+
+
+class SubmitRefuses(SyntheticService):
+    """A service that refuses one job and runs the rest."""
+
+    def submit(self, spec, *, front=False):
+        if spec.job_id == "refused":
+            raise RuntimeError("submit broke")
+        return super().submit(spec, front=front)
+
+
+class TestBrokenService:
+    """A shard service that raises resolves its jobs ``failed``, naming
+    the exception, instead of killing the pump and hanging the drain."""
+
+    def test_step_that_raises_fails_every_job_the_shard_holds(self):
+        gw = Gateway(1, service_factory=StepRaises)
+        with gw:
+            gw.submit(tiny_spec("a", seed=1))
+            gw.submit(tiny_spec("b", seed=2))
+            gw.drain(deadline_s=3)
+            late = tiny_spec("late", seed=3)  # routed after the break
+            gw.submit(late)
+            gw.drain(deadline_s=3)
+        results = gw.ordered_results()
+        assert [r.job_id for r in results] == ["a", "b", "late"]
+        assert all(r.status == "failed" for r in results)
+        assert all("RuntimeError('step broke')" in r.error for r in results)
+        assert gw.counters["failed"] == 3 and gw.counters["requeued"] == 0
+
+    def test_submit_that_raises_fails_that_job_only(self):
+        gw = Gateway(1, service_factory=SubmitRefuses)
+        with gw:
+            gw.submit(tiny_spec("refused", seed=1))
+            gw.submit(tiny_spec("fine", seed=2))
+            gw.drain(deadline_s=3)
+        refused, fine = gw.ordered_results()
+        assert refused.status == "failed"
+        assert "RuntimeError('submit broke')" in refused.error
+        assert fine.status == "done"
+
+
 class TestRealWorkers:
     def test_payloads_match_direct_simulation(self, tmp_path):
         """The headline guarantee, plus overhead and progress accounting."""

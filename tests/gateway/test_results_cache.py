@@ -1,10 +1,12 @@
 """Result-cache churn: eviction order, concurrent inserts, poison refusal."""
 
+import hashlib
 import json
 import threading
 
 import pytest
 
+from repro.durable import write_sealed
 from repro.errors import GatewayError
 from repro.gateway.results import ResultCache
 from repro.serve.jobs import JobResult, JobSpec
@@ -194,9 +196,11 @@ class TestDiskTier:
         cache.put(s, result)
         (path,) = sorted((tmp_path / "rc").glob("*.json"))
         assert path.stem == s.cache_key()
-        envelope = json.loads(path.read_text())
-        assert envelope["format"] == 2
-        stored = JobResult.from_dict(envelope["result"])
+        data = path.read_bytes()
+        body, seal = data[:-32], data[-32:]
+        assert seal == hashlib.sha256(body).digest()
+        assert body == result.to_json().encode()  # canonical JSON
+        stored = JobResult.from_json(body)
         assert stored.k_effective == result.k_effective
 
     def test_memory_eviction_keeps_disk(self, tmp_path):
@@ -277,12 +281,47 @@ class TestAdversarialDiskEntries:
         self.assert_quarantined(tmp_path, s, ResultCache(tmp_path / "rc"))
 
     def test_wrong_format_number(self, tmp_path):
+        """A whole (sealed) file in some other format: an envelope the
+        result decoder refuses."""
         s = spec(seed=74)
         path = self.warm_path(tmp_path, s)
-        doc = json.loads(path.read_text())
-        doc["format"] = 99
-        path.write_text(json.dumps(doc))
+        envelope = {"format": 99, "result": done_result(s).to_dict()}
+        write_sealed(path, json.dumps(envelope).encode())
         self.assert_quarantined(tmp_path, s, ResultCache(tmp_path / "rc"))
+
+    def test_unknown_result_field_is_a_miss(self, tmp_path):
+        """A newer build's extra field in a shared directory: the entry is
+        whole, but this build cannot decode it — a counted miss, never a
+        ``JobError`` out of ``get``."""
+        s = spec(seed=78)
+        path = self.warm_path(tmp_path, s)
+        doc = dict(done_result(s).to_dict(), bogus=1)
+        write_sealed(path, json.dumps(doc, sort_keys=True).encode())
+        self.assert_quarantined(tmp_path, s, ResultCache(tmp_path / "rc"))
+
+    def test_parent_format_entry_is_quarantined_and_rebuilt(self, tmp_path):
+        """A format-2 envelope (the format before the seal) is quarantined
+        once; the recomputed result is stored with a byte-identical
+        payload."""
+        s = spec(seed=79)
+        result = done_result(s, k=0.987654321098765)
+        path = tmp_path / "rc" / f"{s.cache_key()}.json"
+        path.parent.mkdir()
+        doc = result.to_dict()
+        path.write_text(json.dumps({
+            "format": 2,
+            "sha256": hashlib.sha256(
+                json.dumps(doc, sort_keys=True).encode()
+            ).hexdigest(),
+            "result": doc,
+        }, sort_keys=True))
+        cache = ResultCache(tmp_path / "rc")
+        assert cache.get(s) is None
+        assert cache.corrupt_entries == 1
+        assert path.with_suffix(".corrupt").exists()
+        assert cache.put(s, result)
+        hit = ResultCache(tmp_path / "rc").get(s)
+        assert hit.payload_json() == result.payload_json()
 
     def test_non_object_entry(self, tmp_path):
         s = spec(seed=75)

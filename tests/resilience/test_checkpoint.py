@@ -1,8 +1,14 @@
 """Tests for the checkpoint file format: round trip, integrity, atomicity."""
 
+import dataclasses
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.durable import write_sealed
 from repro.errors import CheckpointError
 from repro.profiling.timers import TimerRegistry
 from repro.resilience.checkpoint import (
@@ -110,9 +116,9 @@ class TestIntegrity:
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "c.rpk"
-        path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
-        with pytest.raises(CheckpointError, match="magic"):
+        """A whole (sealed) file that is not a checkpoint."""
+        path = write_sealed(tmp_path / "c.rpk", b"NOTACKPT" + b"\x00" * 64)
+        with pytest.raises(CheckpointError, match="bad magic bytes"):
             load_checkpoint(path)
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
@@ -164,3 +170,86 @@ class TestSettingsFingerprint:
             )
         )
         assert a == b
+
+
+def sealed_checkpoint(path, meta, payload):
+    """A checkpoint file with a valid seal around an arbitrary body."""
+    meta_bytes = json.dumps(meta).encode()
+    header = b"RPRCKPT\x01" + struct.pack("<Q", len(meta_bytes)) + meta_bytes
+    return write_sealed(path, header + payload)
+
+
+def good_parts(tmp_path):
+    """A good checkpoint's meta document and npz payload."""
+    body = save_checkpoint(make_state(), tmp_path / "good.rpk").read_bytes()
+    (meta_len,) = struct.unpack_from("<Q", body, 8)
+    meta = json.loads(body[16 : 16 + meta_len])
+    return meta, body[16 + meta_len : -32]
+
+
+class TestMalformedBody:
+    """Bytes that pass the seal are still external input: every parse
+    failure behind it is a :class:`CheckpointError`."""
+
+    def test_meta_that_is_not_an_object(self, tmp_path):
+        _, payload = good_parts(tmp_path)
+        path = sealed_checkpoint(tmp_path / "c.rpk", [], payload)
+        with pytest.raises(CheckpointError, match="malformed"):
+            load_checkpoint(path)
+
+    def test_meta_without_power(self, tmp_path):
+        meta, payload = good_parts(tmp_path)
+        del meta["power"]
+        path = sealed_checkpoint(tmp_path / "c.rpk", meta, payload)
+        with pytest.raises(CheckpointError, match="malformed"):
+            load_checkpoint(path)
+
+    def test_garbage_payload_after_a_good_meta(self, tmp_path):
+        meta, _ = good_parts(tmp_path)
+        path = sealed_checkpoint(tmp_path / "c.rpk", meta, b"\x00" * 64)
+        with pytest.raises(CheckpointError, match="malformed"):
+            load_checkpoint(path)
+
+    def test_meta_length_past_the_end(self, tmp_path):
+        body = b"RPRCKPT\x01" + struct.pack("<Q", 1 << 40) + b"{}"
+        path = write_sealed(tmp_path / "c.rpk", body)
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_unsupported_version(self, tmp_path):
+        meta, payload = good_parts(tmp_path)
+        meta["version"] = CHECKPOINT_VERSION + 1
+        path = sealed_checkpoint(tmp_path / "c.rpk", meta, payload)
+        with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def as_doc(value):
+    """``value`` as plain JSON types (arrays and tuples become lists)."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: as_doc(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_doc(v) for v in value]
+    return value
+
+
+class TestParentFixture:
+    """``checkpoint-dc00e04.rpk`` was written by the commit before the
+    sealed frame moved into :mod:`repro.durable`; its bytes are that frame."""
+
+    def test_loads_to_its_committed_state(self):
+        loaded = load_checkpoint(FIXTURES / "checkpoint-dc00e04.rpk")
+        expected = json.loads(
+            (FIXTURES / "checkpoint-dc00e04.state.json").read_text()
+        )
+        assert as_doc(dataclasses.asdict(loaded)) == expected
+
+    def test_resaving_writes_the_same_bytes(self, tmp_path):
+        fixture = FIXTURES / "checkpoint-dc00e04.rpk"
+        path = save_checkpoint(load_checkpoint(fixture), tmp_path / "c.rpk")
+        assert path.read_bytes() == fixture.read_bytes()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.data import LibraryConfig, library_fingerprint
+from repro.durable import write_sealed
 from repro.errors import ServeError
 from repro.serve import LibraryCache
 
@@ -55,23 +56,23 @@ class TestGetOrBuild:
 
 
 class TestDigestVerification:
-    """PR 10: every load re-hashes the npz against its .sha256 sidecar."""
+    """Every load verifies the entry's sealed SHA-256 trailer."""
 
     def warm(self, tmp_path):
         cache = LibraryCache(tmp_path)
         _, outcome = cache.get_or_build("hm-small", TINY)
         return cache, cache.path_for(outcome.fingerprint)
 
-    def test_publish_writes_a_matching_sidecar(self, tmp_path):
+    def test_publish_writes_a_matching_seal(self, tmp_path):
         cache, path = self.warm(tmp_path)
-        sidecar = cache.digest_path_for(path)
-        assert sidecar.exists()
-        expected = sidecar.read_text().strip()
-        assert expected == hashlib.sha256(path.read_bytes()).hexdigest()
+        data = path.read_bytes()
+        assert data[-32:] == hashlib.sha256(data[:-32]).digest()
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
-    def test_mismatched_sidecar_quarantines_and_rebuilds(self, tmp_path):
+    def test_mismatched_seal_quarantines_and_rebuilds(self, tmp_path):
         cache, path = self.warm(tmp_path)
-        cache.digest_path_for(path).write_text("0" * 64 + "\n")
+        data = path.read_bytes()
+        path.write_bytes(data[:-32] + b"\0" * 32)
         lib, outcome = cache.get_or_build("hm-small", TINY)
         assert outcome.source == "built"
         assert cache.corrupt_entries == 1
@@ -82,6 +83,7 @@ class TestDigestVerification:
         _, again = cache.get_or_build("hm-small", TINY)
         assert again.source == "disk-cache"
         assert cache.corrupt_entries == 1
+        assert path.read_bytes() == data
 
     def test_bit_rot_in_the_npz_is_caught(self, tmp_path):
         """The npz may still unpickle after a flipped byte — only the
@@ -94,21 +96,27 @@ class TestDigestVerification:
         assert outcome.source == "built"
         assert cache.corrupt_entries == 1
 
-    def test_missing_sidecar_is_quarantined(self, tmp_path):
-        """An npz nothing vouches for is never an unverified hit."""
+    def test_parent_format_entry_is_quarantined_and_rebuilt(self, tmp_path):
+        """A bare npz beside a ``.sha256`` sidecar (the format before the
+        seal) is quarantined once; the rebuild is the same library."""
         cache, path = self.warm(tmp_path)
-        cache.digest_path_for(path).unlink()
-        _, outcome = cache.get_or_build("hm-small", TINY)
+        sealed = path.read_bytes()
+        npz = sealed[:-32]
+        path.write_bytes(npz)
+        sidecar = path.with_suffix(".sha256")
+        sidecar.write_text(hashlib.sha256(npz).hexdigest() + "\n")
+        _, outcome = LibraryCache(tmp_path).get_or_build("hm-small", TINY)
         assert outcome.source == "built"
-        assert cache.corrupt_entries == 1
-        assert path.with_suffix(".corrupt").exists()
+        assert path.with_suffix(".corrupt").read_bytes() == npz
+        assert path.read_bytes() == sealed
+        _, again = cache.get_or_build("hm-small", TINY)
+        assert again.source == "disk-cache"
 
     def test_unloadable_corruption_counts_too(self, tmp_path):
-        """Garbage that fails the plain load (no sidecar help needed) is
-        the same typed event in the same counter."""
+        """Garbage behind a valid seal fails the parse instead: the same
+        typed event in the same counter."""
         cache, path = self.warm(tmp_path)
-        cache.digest_path_for(path).unlink()
-        path.write_bytes(b"not a real npz")
+        write_sealed(path, b"not a real npz")
         _, outcome = cache.get_or_build("hm-small", TINY)
         assert outcome.source == "built"
         assert cache.corrupt_entries == 1
@@ -120,8 +128,7 @@ class TestDigestVerification:
         parses: the typed ``DataError`` is a quarantine + rebuild."""
         cache, path = self.warm(tmp_path)
         write_schema1_library(path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        cache.digest_path_for(path).write_text(digest + "\n")
+        write_sealed(path, path.read_bytes())
         lib, outcome = cache.get_or_build("hm-small", TINY)
         assert outcome.source == "built"
         assert cache.corrupt_entries == 1
